@@ -178,7 +178,9 @@ class EvalContext:
 
     ``us``, ``hs`` are 1-based lists; ``gammas`` maps (i, j) with i < j;
     ``jets`` maps (i, p).  Scalars may be Fraction, RadicalElem or mpmath
-    numbers; mode is purely informational for report output.
+    numbers.  A numeric context records the largest addend magnitude in
+    ``stats.max_mag`` for the relative tolerance; an exact one (mode
+    ``"exact"``) compares with zero and keeps no stats (``stats`` is None).
     """
 
     def __init__(self, n, us, hs, gammas, jets, mode="exact"):
@@ -189,7 +191,7 @@ class EvalContext:
         self.jets = jets
         self.mode = mode
         self.cache = {}
-        self.stats = ex.EvalStats()
+        self.stats = None if mode == "exact" else ex.EvalStats()
 
     def gen_value(self, args):
         kind, i, p = args

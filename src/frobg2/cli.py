@@ -7,14 +7,12 @@ error (click's default), and 3 signals that a numeric computation did
 not converge or a family sampler could not produce a usable point.
 
 Reports are deterministic: the same command with the same seed writes
-byte-identical output.  The worker count for multi-point suites comes
-from the FROBG2_WORKERS environment variable (default 1).
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -52,13 +50,6 @@ EXIT_FAIL = 1
 EXIT_NONCONVERGENT = 3
 
 _FAMILY_KINDS = ("an", "dn", "e6", "e7", "e8", "apq", "dr", "2d")
-
-
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("FROBG2_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _family_spec(family, n, p, q, r, mu1):
@@ -118,30 +109,6 @@ def _emit(report, output):
     else:
         click.echo(text, nl=False)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
-
-
-def _pooled_family_suite(fn, spec, points, seed, precision):
-    """Run a per-point family suite, optionally across a worker pool;
-    trials are assembled in point order either way."""
-    workers = _worker_count()
-    if workers <= 1 or points <= 1:
-        return fn(spec, points=points, seed=seed, precision=precision)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda k: fn(spec, points=1, seed=seed + k, precision=precision),
-                range(points),
-            )
-        )
-    merged = VerificationReport(
-        command=parts[0].command, n=spec.n, family=spec.label,
-        seed=seed, precision=precision, params=parts[0].params,
-    )
-    for part in parts:
-        merged.trials.extend(part.trials)
-    return merged
 
 
 def _guarded(body):
@@ -228,7 +195,7 @@ def cmd_verify_g2(family, n, p, q, r, mu1, points, seed, precision, output):
     spec = _family_spec(family, n, p, q, r, mu1)
 
     def body():
-        report = _pooled_family_suite(g2_vanishing_check, spec, points, seed, precision)
+        report = g2_vanishing_check(spec, points=points, seed=seed, precision=precision)
         return _emit(report, output)
 
     _guarded(body)
@@ -245,9 +212,8 @@ def cmd_verify_relation(family, n, p, q, r, mu1, points, seed, precision, output
     spec = _family_spec(family, n, p, q, r, mu1)
 
     def body():
-        report = _pooled_family_suite(
-            relation_family_check, spec, points, seed, precision
-        )
+        report = relation_family_check(spec, points=points, seed=seed,
+                                       precision=precision)
         return _emit(report, output)
 
     _guarded(body)
@@ -278,7 +244,7 @@ def cmd_compute_odiff(family, n, p, q, r, mu1, points, seed, precision, output):
             else:
                 click.echo(record)
             return EXIT_PASS
-        report = _pooled_family_suite(o_difference_check, spec, points, seed, precision)
+        report = o_difference_check(spec, points=points, seed=seed, precision=precision)
         return _emit(report, output)
 
     _guarded(body)

@@ -18,6 +18,7 @@ across processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from weakref import WeakValueDictionary
 
 OP_CONST = 0
@@ -63,12 +64,13 @@ def _mk(op, args, hcomps):
     return node
 
 
-def _skey(e):
-    return (e.shash, e.sid)
+# sort key of sum and product children: (shash, sid)
+_skey = attrgetter("shash", "sid")
 
 
 def const(q):
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return _mk(OP_CONST, (q,), (q.numerator, q.denominator))
 
 
@@ -123,7 +125,7 @@ def _split(term):
         return term.args[0].args[0], _mk(
             OP_MUL, rest, tuple(c.shash for c in rest)
         )
-    return Fraction(1), term
+    return 1, term
 
 
 def add(*terms):
@@ -135,9 +137,13 @@ def add(*terms):
             items = (t,)
         for it in items:
             c, base = _split(it)
-            if c == 0:
+            if not c:
                 continue
-            s = acc.get(base, 0) + c
+            prev = acc.get(base)
+            if prev is None:
+                acc[base] = c
+                continue
+            s = prev + c
             if s:
                 acc[base] = s
             else:
@@ -159,15 +165,17 @@ def add(*terms):
 
 
 def mul(*factors):
-    coeff = Fraction(1)
+    coeff = 1
     powers = {}
     stack = list(factors)
     while stack:
         f = stack.pop()
         if f.op == OP_CONST:
-            coeff *= f.args[0]
-            if coeff == 0:
+            c = f.args[0]
+            if not c:
                 return ZERO
+            # coeff stays the int 1 until the first constant factor
+            coeff = c if type(coeff) is int else coeff * c
         elif f.op == OP_MUL:
             stack.extend(f.args)
         elif f.op == OP_POW:
@@ -288,7 +296,8 @@ def generators(e):
 
 
 class EvalStats:
-    """Collects the largest magnitude seen among addends (numeric runs)."""
+    """Collects the largest magnitude seen among addends (numeric runs);
+    an addend beyond the float range reads as inf."""
 
     __slots__ = ("max_mag",)
 
@@ -300,6 +309,8 @@ class EvalStats:
             m = float(abs(v))
         except (TypeError, ValueError):
             return
+        except OverflowError:
+            m = float("inf")
         if m > self.max_mag:
             self.max_mag = m
 

@@ -17,6 +17,7 @@ freshly drawn parameters.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -645,9 +646,13 @@ def orbifold_o_difference(p, q, r):
 
 
 def _residual_ok(val, precision, scale=1):
-    tol = relative_tolerance(precision)
-    base = max(1.0, float(abs(scale)))
-    return float(abs(val)) <= tol * base
+    """|val| <= tol * max(1, |scale|).  A residual or scale that is not a
+    finite float (inf, nan, or beyond the float range) fails."""
+    res = float(abs(val))
+    base = float(abs(scale))
+    if not (math.isfinite(res) and math.isfinite(base)):
+        return False
+    return res <= relative_tolerance(precision) * max(1.0, base)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ contractions; ``check_decomposition`` verifies this at random exact
 points, ``solve_coefficients`` re-derives the sixteen constants from
 scratch, and ``check_relation`` evaluates the linear relation that the
 contractions satisfy on the distinguished families.
+
+Building a DAG costs more than evaluating it, so ``f2_reference``,
+``g2_function``, ``decomposition_residual``, ``relation_expression`` and
+``o_difference_graphs`` build each DAG once per (kind, n) and keep it
+for the life of the process; a call with an explicit ``table`` builds
+afresh.
 """
 
 from __future__ import annotations
@@ -184,25 +190,40 @@ class _TableBuilder:
         return add(*out) if out else ZERO
 
 
-_f2_cache = {}
-_g2_cache = {}
+# ---------------------------------------------------------------------------
+# the build cache
+
+_built = {}
+
+
+def _build_once(kind, n, build):
+    """The DAG ``build(Algebra(n))`` for ``kind``, built on the first
+    call at each n and kept for the life of the process.  Only the
+    finished DAG is kept; the build's Algebra and CorrelatorTable, with
+    their derive caches, are dropped when it returns."""
+    key = (kind, n)
+    out = _built.get(key)
+    if out is None:
+        out = _built[key] = build(Algebra(n))
+    return out
+
+
+def _with_table(build):
+    """``build(alg, table)`` as a builder for ``_build_once``."""
+    return lambda alg: build(alg, CorrelatorTable(alg))
 
 
 def f2_reference(alg):
     """The reference genus-two free energy over free generators."""
-    out = _f2_cache.get(alg.n)
-    if out is None:
-        builder = _TableBuilder(alg)
-        out = builder.table(_F2_DATA, ())
-        _f2_cache[alg.n] = out
-    return out
+    return _build_once("f2", alg.n, lambda a: _TableBuilder(a).table(_F2_DATA, ()))
 
 
 def g2_function(alg):
     """The genus-two correction term G(u, u_x, u_xx)."""
-    out = _g2_cache.get(alg.n)
-    if out is not None:
-        return out
+    return _build_once("g2", alg.n, _g2_build)
+
+
+def _g2_build(alg):
     builder = _TableBuilder(alg)
     parts = []
     for i in alg.indices():
@@ -222,9 +243,7 @@ def g2_function(alg):
                     parts.append(
                         mul(gij, pow_(jet(j, 1), 3), pow_(jet(i, 1), -1))
                     )
-    out = add(*parts) if parts else ZERO
-    _g2_cache[alg.n] = out
-    return out
+    return add(*parts) if parts else ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +252,14 @@ def g2_function(alg):
 
 def decomposition_residual(alg, table=None):
     """f2_reference minus the sixteen-graph combination minus the
-    correction term; identically zero in the free generators."""
+    correction term; identically zero in the free generators.  Without
+    an explicit ``table`` the DAG is built once per n."""
     if table is None:
-        table = CorrelatorTable(alg)
+        return _build_once("decomposition", alg.n, _with_table(_decomposition))
+    return _decomposition(alg, table)
+
+
+def _decomposition(alg, table):
     parts = [f2_reference(alg), neg(g2_function(alg))]
     for name, c in CONSTANTS.items():
         if c == 0:
@@ -338,9 +362,14 @@ def _solve_overdetermined(rows, rhs):
 
 
 def relation_expression(alg, table=None):
-    """(Q1-Q6) + 2(Q7-Q5) + 3(Q8-Q2) + 4(Q9-Q3) + 6(Q4+Q10-Q11-Q12)."""
+    """(Q1-Q6) + 2(Q7-Q5) + 3(Q8-Q2) + 4(Q9-Q3) + 6(Q4+Q10-Q11-Q12).
+    Without an explicit ``table`` the DAG is built once per n."""
     if table is None:
-        table = CorrelatorTable(alg)
+        return _build_once("relation", alg.n, _with_table(_relation))
+    return _relation(alg, table)
+
+
+def _relation(alg, table):
     weights = {
         "Q1": 1, "Q6": -1, "Q7": 2, "Q5": -2, "Q8": 3, "Q2": -3,
         "Q9": 4, "Q3": -4, "Q4": 6, "Q10": 6, "Q11": -6, "Q12": -6,
@@ -371,8 +400,14 @@ def o_difference_closed_form(alg):
 
 
 def o_difference_graphs(alg, table=None):
+    """The contraction O1 - O2.  Without an explicit ``table`` the DAG is
+    built once per n."""
     if table is None:
-        table = CorrelatorTable(alg)
+        return _build_once("odiff", alg.n, _with_table(_o_difference))
+    return _o_difference(alg, table)
+
+
+def _o_difference(alg, table):
     return sub(
         graph_function(builtin("O1"), table),
         graph_function(builtin("O2"), table),
@@ -425,11 +460,9 @@ def graph_combination(alg, weights, table=None):
 
 def g2_small_phase(alg, ctx):
     """The correction term with all u_{i,x} = 1 and u_{i,xx} = 0."""
-    one = Fraction(1) if ctx.mode == "exact" else None
     jets = dict(ctx.jets)
     for i in alg.indices():
-        sample = ctx.hs[0]
-        jets[(i, 1)] = Fraction(1) if one is not None else sample / sample
-        jets[(i, 2)] = Fraction(0) if one is not None else sample - sample
+        jets[(i, 1)] = Fraction(1)
+        jets[(i, 2)] = Fraction(0)
     flat = EvalContext(ctx.n, ctx.us, ctx.hs, ctx.gammas, jets, mode=ctx.mode)
     return flat.evaluate(g2_function(alg))

@@ -107,6 +107,21 @@ class TestRules:
             assert ctx.evaluate(mul(e1, e2)) == ctx.evaluate(e1) * ctx.evaluate(e2)
             assert ctx.evaluate(add(e1, e2)) == ctx.evaluate(e1) + ctx.evaluate(e2)
 
+    def test_exact_value_beyond_float_range(self):
+        # exact points keep no magnitude stats, so a constant above the
+        # float range evaluates exactly instead of overflowing
+        ctx = random_context(2, random.Random(1))
+        assert ctx.stats is None
+        got = ctx.evaluate(add(ex.const(10**400), u(1)))
+        assert got == 10**400 + ctx.us[0]
+        assert isinstance(got, Fraction)
+
+    def test_numeric_stats_overflow_reads_inf(self):
+        ctx = EvalContext(1, [mpmath.mpf(1)], [mpmath.mpf(1)], {}, {},
+                          mode="numeric")
+        ctx.evaluate(add(ex.const(10**400), u(1)))
+        assert ctx.stats.max_mag == float("inf")
+
 
 class TestParametrizedOracle:
     """n=2 unfolding z^3: u_i, h_i, gamma_12 explicit in the critical

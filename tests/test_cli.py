@@ -1,8 +1,9 @@
 """Command-line interface tests: exit codes, JSON-lines output shape,
-reproducibility, worker-pool equivalence."""
+reproducibility."""
 
 import json
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -92,9 +93,14 @@ class TestReproducibility:
         b = runner.invoke(main, args)
         assert a.output == b.output
 
-    def test_worker_pool_same_bytes(self, runner, monkeypatch):
-        args = ["verify-g2", "--family", "2d", "--mu1", "1/2", "--points", "3"]
+    def test_workers_env_same_bytes(self, runner, monkeypatch):
+        # a numeric family: the report bytes and mpmath's global
+        # precision must not depend on a FROBG2_WORKERS setting
+        args = ["verify-g2", "--family", "dr", "--r", "1", "--points", "2"]
+        prec = mpmath.mp.prec
         solo = runner.invoke(main, args)
-        monkeypatch.setenv("FROBG2_WORKERS", "3")
+        monkeypatch.setenv("FROBG2_WORKERS", "2")
         pooled = runner.invoke(main, args)
+        assert solo.exit_code == 0
         assert solo.output == pooled.output
+        assert mpmath.mp.prec == prec

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobg2.families import (
     FamilySpec,
+    _residual_ok,
     closed_form_o_difference,
     g2_vanishing_check,
     gfunction_gradient_check,
@@ -152,6 +153,25 @@ class TestRelation:
     def test_zero_on_families(self, spec):
         report = relation_family_check(spec, points=2, seed=13)
         assert report.verdict == "pass"
+
+
+class TestResidualGate:
+    def test_relative_tolerance(self):
+        assert _residual_ok(mpmath.mpf(2) ** -130, 256)
+        assert _residual_ok(mpmath.mpf(2) ** -100, 256, mpmath.mpf(2) ** 30)
+        assert not _residual_ok(mpmath.mpf(2) ** -100, 256)
+
+    @pytest.mark.parametrize("val, scale", [
+        (mpmath.mpf("1e300"), mpmath.mpc("1e400")),  # scale beyond floats
+        (mpmath.mpf(0), float("inf")),
+        (mpmath.mpf(0), mpmath.inf),
+        (mpmath.inf, 1),
+        (mpmath.mpc(mpmath.inf, 0), 1),
+        (mpmath.nan, 1),
+        (mpmath.mpf(0), mpmath.nan),
+    ])
+    def test_non_finite_fails(self, val, scale):
+        assert not _residual_ok(val, 256, scale)
 
 
 class TestGFunction:

@@ -16,9 +16,11 @@ from fractions import Fraction
 
 import pytest
 
+from frobg2 import genus2
 from frobg2.algebra import Algebra, EvalContext, random_context
 from frobg2.correlators import CorrelatorTable
 from frobg2.expr import add, const, h, jet, mul, neg, pow_
+from frobg2.families import FamilySpec, relation_family_check
 from frobg2.genus2 import (
     A1_ORBIFOLD_WEIGHTS,
     A2_WEIGHTS,
@@ -191,3 +193,38 @@ class TestCombinations:
         for _ in range(4):
             ctx = random_context(2, rng)
             assert ctx.evaluate(combo) == ctx.evaluate(hand)
+
+
+class TestBuildCache:
+    @pytest.mark.parametrize("build", [
+        f2_reference, g2_function, decomposition_residual,
+        relation_expression, o_difference_graphs,
+    ])
+    def test_built_once_per_n(self, build, monkeypatch):
+        first = build(Algebra(2))
+
+        def rebuilt(alg):
+            raise AssertionError("rebuilt at n=%d" % alg.n)
+
+        monkeypatch.setattr(genus2, "CorrelatorTable", rebuilt)
+        monkeypatch.setattr(genus2, "_TableBuilder", rebuilt)
+        assert build(Algebra(2)) is first
+
+    def test_explicit_table_bypasses_cache(self, monkeypatch):
+        alg = Algebra(2)
+        cached = relation_expression(alg)
+        seen = []
+        contract = genus2.graph_function
+        monkeypatch.setattr(genus2, "graph_function",
+                            lambda g, t: seen.append(t) or contract(g, t))
+        assert relation_expression(alg) is cached
+        assert seen == []
+        table = CorrelatorTable(alg)
+        # hash-consing makes the fresh build the very same DAG
+        assert relation_expression(alg, table) is cached
+        assert len(seen) == 12 and all(t is table for t in seen)
+
+    def test_repeated_suite_same_report(self):
+        spec = FamilySpec.ApqOrbifold(2, 2)
+        first = relation_family_check(spec, points=1).to_dict()
+        assert relation_family_check(spec, points=1).to_dict() == first
