@@ -3,8 +3,9 @@
 Each verb runs one verification suite and streams its result as JSON
 lines: one object per trial, then a summary object.  Exit status 0
 means every trial passed, 1 means at least one failed, 2 is a usage
-error (click's default), and 3 signals that a numeric computation did
-not converge or a family sampler could not produce a usable point.
+error (click's default), 3 signals that a numeric computation did not
+converge or a family sampler could not produce a usable point, and 4
+is any other error, with its traceback on stderr.
 
 Reports are deterministic: the same command with the same seed writes
 byte-identical output.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 
@@ -23,22 +23,20 @@ from .correlators import CorrelatorTable
 from .exact import NonConvergenceError
 from .expr import dump as expr_dump
 from .families import (
+    FAMILIES,
     DegenerateSample,
-    FamilySpec,
     closed_form_o_difference,
     g2_vanishing_check,
-    gfunction_gradient_check,
+    gfunction_check,
     o_difference_check,
     relation_family_check,
     residue_identity_suite,
-    sample,
 )
 from .genus2 import (
     CONSTANTS,
     check_decomposition,
     f2_reference,
     g2_function,
-    o_difference_closed_form,
     relation_expression,
     solve_coefficients,
 )
@@ -48,47 +46,33 @@ from .report import DEFAULT_PRECISION, DEFAULT_SEED, VerificationReport, relativ
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_NONCONVERGENT = 3
+EXIT_ERROR = 4
 
-_FAMILY_KINDS = ("an", "dn", "e6", "e7", "e8", "apq", "dr", "2d")
+_BY_FLAG = {family.flag: family for family in FAMILIES.values()}
 
 
-def _family_spec(family, n, p, q, r, mu1):
-    if family is None:
-        raise click.UsageError("--family is required")
-    family = family.lower()
-    if family == "an":
-        if n is None:
-            raise click.UsageError("--n is required for the A family")
-        return FamilySpec.An(n)
-    if family == "dn":
-        if n is None:
-            raise click.UsageError("--n is required for the D family")
-        return FamilySpec.Dn(n)
-    if family == "e6":
-        return FamilySpec.E6()
-    if family == "e7":
-        return FamilySpec.E7()
-    if family == "e8":
-        return FamilySpec.E8()
-    if family == "apq":
-        if p is None or q is None:
-            raise click.UsageError("--p and --q are required for the A orbifold")
-        return FamilySpec.ApqOrbifold(p, q)
-    if family == "dr":
-        if r is None:
-            raise click.UsageError("--r is required for the D orbifold")
-        return FamilySpec.DrOrbifold(r)
-    if family == "2d":
-        if mu1 is None:
-            raise click.UsageError("--mu1 is required for the 2D family")
-        try:
-            value = Fraction(mu1)
-        except (ValueError, ZeroDivisionError):
-            raise click.UsageError("--mu1 must be a rational like 1/3")
-        if value == 0:
-            raise click.UsageError("--mu1 must be nonzero")
-        return FamilySpec.TwoDim(value)
-    raise click.UsageError("unknown family %r" % family)
+def _family_spec(flag, params, needs=None):
+    """The FamilySpec the --family options name.  ``needs`` is a
+    (record attribute, description) pair the family must provide."""
+    family = _BY_FLAG[flag]
+    if needs and not getattr(family, needs[0]):
+        raise click.UsageError("the %s family has no %s" % (flag, needs[1]))
+    missing = ["--" + name for name in family.params if params[name] is None]
+    if missing:
+        raise click.UsageError("%s required for the %s family"
+                               % (" and ".join(missing), flag))
+    try:
+        return family.make(*[params[name] for name in family.params])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(str(exc))
+
+
+def _write(text, output):
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _emit(report, output):
@@ -102,28 +86,28 @@ def _emit(report, output):
     summary["trials"] = len(report.trials)
     summary["tolerance"] = relative_tolerance(report.precision)
     lines.append(json.dumps(summary, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write("\n".join(lines) + "\n", output)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 
 def _guarded(body):
     try:
-        sys.exit(body())
+        code = body()
     except (NonConvergenceError, DegenerateSample) as exc:
         click.echo("non-convergent: %s" % exc, err=True)
-        sys.exit(EXIT_NONCONVERGENT)
+        code = EXIT_NONCONVERGENT
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 def _family_options(fn):
     for deco in (
-        click.option("--family", type=click.Choice(_FAMILY_KINDS), default=None,
+        click.option("--family", type=click.Choice(list(_BY_FLAG)), required=True,
                      help="Family kind."),
-        click.option("--n", type=int, default=None, help="Rank for A/D families."),
+        click.option("--n", type=click.IntRange(min=1), default=None,
+                     help="Rank for A/D families."),
         click.option("--p", type=int, default=None, help="First orbifold degree."),
         click.option("--q", type=int, default=None, help="Second orbifold degree."),
         click.option("--r", type=int, default=None, help="D-orbifold parameter."),
@@ -149,13 +133,12 @@ def main():
 
 
 @main.command("verify-decomposition")
-@click.option("--n", type=int, required=True, help="Number of canonical coordinates.")
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--mode", type=click.Choice(["exact"]), default="exact",
-              show_default=True, help="The identity is checked in exact arithmetic.")
+@click.option("--n", type=click.IntRange(min=1), required=True,
+              help="Number of canonical coordinates.")
+@click.option("--trials", type=click.IntRange(min=1), default=20, show_default=True)
 @seed_option
 @output_option
-def cmd_verify_decomposition(n, trials, mode, seed, output):
+def cmd_verify_decomposition(n, trials, seed, output):
     """Check the sixteen-graph decomposition at random exact points."""
 
     def body():
@@ -166,8 +149,8 @@ def cmd_verify_decomposition(n, trials, mode, seed, output):
 
 
 @main.command("solve-coefficients")
-@click.option("--n", type=int, default=2, show_default=True)
-@click.option("--samples", type=int, default=32, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--samples", type=click.IntRange(min=32), default=32, show_default=True)
 @seed_option
 @output_option
 def cmd_solve_coefficients(n, samples, seed, output):
@@ -184,65 +167,51 @@ def cmd_solve_coefficients(n, samples, seed, output):
     _guarded(body)
 
 
-@main.command("verify-g2")
-@_family_options
-@click.option("--points", type=int, default=3, show_default=True)
-@seed_option
-@precision_option
-@output_option
-def cmd_verify_g2(family, n, p, q, r, mu1, points, seed, precision, output):
-    """Check that the genus-two correction vanishes on a family."""
-    spec = _family_spec(family, n, p, q, r, mu1)
+def _family_verb(name, suite, summary, needs=None):
+    """Register a verb that runs ``suite`` on --points points of a family."""
 
-    def body():
-        report = g2_vanishing_check(spec, points=points, seed=seed, precision=precision)
-        return _emit(report, output)
+    @_family_options
+    @click.option("--points", type=click.IntRange(min=1), default=3, show_default=True)
+    @seed_option
+    @precision_option
+    @output_option
+    def command(family, points, seed, precision, output, **params):
+        spec = _family_spec(family, params, needs)
 
-    _guarded(body)
+        def body():
+            report = suite(spec, points=points, seed=seed, precision=precision)
+            return _emit(report, output)
+
+        _guarded(body)
+
+    main.command(name, help=summary)(command)
 
 
-@main.command("verify-relation")
-@_family_options
-@click.option("--points", type=int, default=3, show_default=True)
-@seed_option
-@precision_option
-@output_option
-def cmd_verify_relation(family, n, p, q, r, mu1, points, seed, precision, output):
-    """Check the sixteen-term linear relation on a family."""
-    spec = _family_spec(family, n, p, q, r, mu1)
-
-    def body():
-        report = relation_family_check(spec, points=points, seed=seed,
-                                       precision=precision)
-        return _emit(report, output)
-
-    _guarded(body)
+_family_verb("verify-g2", g2_vanishing_check,
+             "Check that the genus-two correction vanishes on a family.")
+_family_verb("verify-relation", relation_family_check,
+             "Check the sixteen-term linear relation on a family.")
+_family_verb("verify-gfunction", gfunction_check,
+             "Check the genus-one G-function gradients on a family.",
+             needs=("gradient_closed_form", "G-function closed form"))
 
 
 @main.command("compute-odiff")
 @_family_options
-@click.option("--points", type=int, default=0, show_default=True,
+@click.option("--points", type=click.IntRange(min=0), default=0, show_default=True,
               help="Also verify the value on this many sampled points.")
 @seed_option
 @precision_option
 @output_option
-def cmd_compute_odiff(family, n, p, q, r, mu1, points, seed, precision, output):
+def cmd_compute_odiff(family, points, seed, precision, output, **params):
     """Print the family's closed-form O1 - O2 value."""
-    spec = _family_spec(family, n, p, q, r, mu1)
+    spec = _family_spec(family, params)
 
     def body():
-        value = closed_form_o_difference(spec)
-        if points <= 0:
-            record = json.dumps(
-                {"command": "compute-odiff", "family": spec.label,
-                 "o_difference": str(value)},
-                sort_keys=True,
-            )
-            if output:
-                with open(output, "w") as fh:
-                    fh.write(record + "\n")
-            else:
-                click.echo(record)
+        if points == 0:
+            record = {"command": "compute-odiff", "family": spec.label,
+                      "o_difference": str(closed_form_o_difference(spec))}
+            _write(json.dumps(record, sort_keys=True) + "\n", output)
             return EXIT_PASS
         report = o_difference_check(spec, points=points, seed=seed, precision=precision)
         return _emit(report, output)
@@ -250,42 +219,14 @@ def cmd_compute_odiff(family, n, p, q, r, mu1, points, seed, precision, output):
     _guarded(body)
 
 
-@main.command("verify-gfunction")
-@_family_options
-@click.option("--points", type=int, default=3, show_default=True)
-@seed_option
-@precision_option
-@output_option
-def cmd_verify_gfunction(family, n, p, q, r, mu1, points, seed, precision, output):
-    """Check the genus-one G-function gradients on a family."""
-    spec = _family_spec(family, n, p, q, r, mu1)
-    if spec.kind == "TwoDim":
-        raise click.UsageError("the 2D family has no G-function closed form")
-
-    def body():
-        report = VerificationReport(
-            command="verify-gfunction", n=spec.n, family=spec.label,
-            seed=seed, precision=precision,
-        )
-        for k in range(points):
-            point = sample(spec, seed=seed + k, precision=precision)
-            part = gfunction_gradient_check(point, spec, precision=precision)
-            report.trials.extend(part.trials)
-        return _emit(report, output)
-
-    _guarded(body)
-
-
 @main.command("verify-residues")
 @_family_options
-@click.option("--draws", type=int, default=5, show_default=True)
+@click.option("--draws", type=click.IntRange(min=1), default=5, show_default=True)
 @seed_option
 @output_option
-def cmd_verify_residues(family, n, p, q, r, mu1, draws, seed, output):
+def cmd_verify_residues(family, draws, seed, output, **params):
     """Run the residue-identity suite for a polynomial family."""
-    spec = _family_spec(family, n, p, q, r, mu1)
-    if spec.kind not in ("An", "Dn", "E6", "E8"):
-        raise click.UsageError("no residue suite for the %s family" % spec.label)
+    spec = _family_spec(family, params, needs=("residue_checks", "residue suite"))
 
     def body():
         report = residue_identity_suite(spec, seed=seed, draws=draws)
@@ -322,12 +263,7 @@ def cmd_enumerate_graphs(emit, output):
                 sort_keys=True,
             )
         )
-        text = "\n".join(lines) + "\n"
-        if output:
-            with open(output, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
+        _write("\n".join(lines) + "\n", output)
         return EXIT_PASS if ok else EXIT_FAIL
 
     _guarded(body)
@@ -338,11 +274,18 @@ def cmd_enumerate_graphs(emit, output):
               required=True)
 @click.option("--name", type=str, default=None,
               help="Catalog name when dumping a graph contraction.")
-@click.option("--n", type=int, default=2, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
 @output_option
 def cmd_dump_expr(what, name, n, output):
     """Write an expression as deterministic S-expression text."""
     alg = Algebra(n)
+    if what == "graph":
+        if name is None:
+            raise click.UsageError("--name is required with --what graph")
+        try:
+            graph = builtin(name)
+        except KeyError:
+            raise click.UsageError("unknown graph %r" % name)
 
     def body():
         if what == "f2":
@@ -352,21 +295,10 @@ def cmd_dump_expr(what, name, n, output):
         elif what == "relation":
             expr = relation_expression(alg)
         else:
-            if name is None:
-                raise click.UsageError("--name is required with --what graph")
-            try:
-                graph = builtin(name)
-            except KeyError:
-                raise click.UsageError("unknown graph %r" % name)
             from .graphs import graph_function
 
             expr = graph_function(graph, CorrelatorTable(alg))
-        text = expr_dump(expr) + "\n"
-        if output:
-            with open(output, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
+        _write(expr_dump(expr) + "\n", output)
         return EXIT_PASS
 
     _guarded(body)

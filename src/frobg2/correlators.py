@@ -74,7 +74,7 @@ class CorrelatorTable:
         m = len(t)
         if not C_MIN <= m <= C_MAX:
             raise ValueError("C supports lengths %d..%d" % (C_MIN, C_MAX))
-        return self._X(tuple(sorted(t)), self._c, self._c_base)
+        return self._X(tuple(sorted(t)), self._c, self._c_base, C_MIN)
 
     def _c_base(self, t):
         i1, i2, i3 = t
@@ -88,7 +88,7 @@ class CorrelatorTable:
         m = len(t)
         if not 1 <= m <= D_MAX:
             raise ValueError("D supports lengths 1..%d" % D_MAX)
-        return self._X(tuple(sorted(t)), self._d, self._d_base)
+        return self._X(tuple(sorted(t)), self._d, self._d_base, 1)
 
     def _d_base(self, t):
         (i,) = t
@@ -102,17 +102,21 @@ class CorrelatorTable:
 
     # -- shared recursion -------------------------------------------------------
 
-    def _X(self, t, memo, base):
-        out = memo.get(t)
+    def _X(self, t, memo, base, base_len):
+        """The correlator of index tuple t, extended one index at a time
+        from ``base`` at length ``base_len``.  With a ``memo`` the tuples
+        are sorted and each is built once; with memo None the recursion
+        runs in the literal order of t and memoizes nothing."""
+        out = None if memo is None else memo.get(t)
         if out is not None:
             return out
-        base_len = 3 if memo is self._c else 1
         if len(t) == base_len:
             out = base(t)
-            memo[t] = out
+            if memo is not None:
+                memo[t] = out
             return out
         head, last = t[:-1], t[-1]
-        X = self._X(head, memo, base)
+        X = self._X(head, memo, base, base_len)
         alg = self.alg
         terms = []
         if X is not ZERO:
@@ -138,49 +142,24 @@ class CorrelatorTable:
                 if gam is ZERO:
                     continue
                 repl = head[:pos] + (s,) + head[pos + 1:]
-                Xs = self._X(tuple(sorted(repl)), memo, base)
+                if memo is not None:
+                    repl = tuple(sorted(repl))
+                Xs = self._X(repl, memo, base, base_len)
                 if Xs is ZERO:
                     continue
                 terms.append(neg(mul(Xs, gam, jet(last, 1))))
         out = add(*terms) if terms else ZERO
-        memo[t] = out
+        if memo is not None:
+            memo[t] = out
         return out
 
     def correlator_ordered(self, t, kind="C"):
         """Recursion applied in the literal order of t (no sorting, no
         memo).  Exists so tests can confirm order-independence; the
         public entries always recurse on sorted tuples."""
-        base_len = 3 if kind == "C" else 1
-        base = self._c_base if kind == "C" else self._d_base
-        if len(t) == base_len:
-            return base(tuple(t))
-        head, last = tuple(t[:-1]), t[-1]
-        X = self.correlator_ordered(head, kind)
-        alg = self.alg
-        terms = []
-        if X is not ZERO:
-            for k in alg.indices():
-                d0 = alg.partial_u(X, k)
-                if d0 is not ZERO:
-                    w = self.u_jet_coeff(k, 0, last)
-                    if w is not ZERO:
-                        terms.append(mul(d0, w))
-            for p in range(1, alg.max_jet_order(X) + 1):
-                for k in alg.indices():
-                    dp = alg.partial_jet(X, k, p)
-                    if dp is not ZERO:
-                        w = self.u_jet_coeff(k, p, last)
-                        if w is not ZERO:
-                            terms.append(mul(dp, w))
-        for pos in range(len(head)):
-            for s in alg.indices():
-                gam = alg.christoffel(s, head[pos], last)
-                if gam is ZERO:
-                    continue
-                Xs = self.correlator_ordered(head[:pos] + (s,) + head[pos + 1:], kind)
-                if Xs is not ZERO:
-                    terms.append(neg(mul(Xs, gam, jet(last, 1))))
-        return add(*terms) if terms else ZERO
+        if kind == "C":
+            return self._X(tuple(t), None, self._c_base, C_MIN)
+        return self._X(tuple(t), None, self._d_base, 1)
 
     # -- G-function gradient and edge weight --------------------------------------
 

@@ -11,7 +11,9 @@ families go through high-precision complex root finding.
 Besides the samplers the module carries the families' closed-form
 constants (the O1 - O2 values), the G-function gradient checks, and the
 residue-identity suites that re-run the printed residue computations on
-freshly drawn parameters.
+freshly drawn parameters.  Everything that differs between family kinds
+is one ``Family`` record in ``FAMILIES``, keyed by ``FamilySpec.kind``;
+no other code branches on the kind.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Optional
 
 import mpmath
 
 from .algebra import Algebra, EvalContext, random_rational
 from .correlators import CorrelatorTable
 from .exact import Poly, poly_roots, residue, residue_at_infinity
+from .genus2 import g2_function, o_difference_graphs, relation_expression
 from .radicals import RadicalElem, RadicalField, radical_tower
 from .report import (
     DEFAULT_PRECISION,
@@ -37,8 +41,6 @@ from .report import (
 )
 
 MAX_RESAMPLE = 200
-EXACT_KINDS = ("An", "Dn", "TwoDim")
-ADE_KINDS = ("An", "Dn", "E6", "E7", "E8")
 
 
 class DegenerateSample(Exception):
@@ -102,26 +104,12 @@ class FamilySpec:
         return FamilySpec("TwoDim", n=2, mu1=mu1)
 
     @property
-    def dimension(self):
-        return self.n
-
-    @property
     def exact(self):
-        return self.kind in EXACT_KINDS
+        return FAMILIES[self.kind].exact
 
     @property
     def label(self):
-        if self.kind == "An":
-            return "An(%d)" % self.n
-        if self.kind == "Dn":
-            return "Dn(%d)" % self.n
-        if self.kind == "Apq":
-            return "Apq(%d,%d)" % (self.p, self.q)
-        if self.kind == "Dr":
-            return "Dr(%d)" % self.r
-        if self.kind == "TwoDim":
-            return "TwoDim(%s)" % self.mu1
-        return self.kind
+        return FAMILIES[self.kind].label.format_map(vars(self))
 
 
 @dataclass
@@ -578,25 +566,16 @@ def _sample_dr(spec, rng, precision):
     raise DegenerateSample(spec.label)
 
 
-_SAMPLERS_EXACT = {"An": _sample_an, "Dn": _sample_dn, "TwoDim": _sample_twodim}
-_SAMPLERS_NUMERIC = {
-    "E6": _sample_e68,
-    "E8": _sample_e68,
-    "E7": _sample_e7,
-    "Apq": _sample_apq,
-    "Dr": _sample_dr,
-}
-
-
 def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
     """Draw a SamplePoint of the family; pure in (spec, seed, precision)."""
     rng = random.Random("%s|%s" % (seed, spec.label))
-    if spec.kind in _SAMPLERS_EXACT:
-        data = _SAMPLERS_EXACT[spec.kind](spec, rng)
+    sampler = FAMILIES[spec.kind].sampler
+    if spec.exact:
+        data = sampler(spec, rng)
         mode = "exact"
     else:
         with mpmath.workprec(precision + 64):
-            data = _SAMPLERS_NUMERIC[spec.kind](spec, rng, precision)
+            data = sampler(spec, rng, precision)
         mode = "numeric"
     jets = _random_jets(rng, spec.n)
     point = SamplePoint(
@@ -623,26 +602,11 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
 
 def closed_form_o_difference(spec):
     """The family's O1 - O2 value as an exact rational."""
-    if spec.kind in ADE_KINDS:
-        return Fraction(0)
-    if spec.kind == "Apq":
-        p, q = spec.p, spec.q
-        return Fraction(p**3 + q**3 - p - q, 6)
-    if spec.kind == "Dr":
-        r = spec.r
-        return Fraction(r**3 - r, 6) + 2
-    if spec.kind == "TwoDim":
-        return Fraction(0)
-    raise ValueError("unknown family kind %r" % spec.kind)
-
-
-def orbifold_o_difference(p, q, r):
-    """The conjectural A/D/E-orbifold value, exposed for reference."""
-    return Fraction(p**3 + q**3 + r**3 - p - q - r, 6)
+    return FAMILIES[spec.kind].o_difference(spec)
 
 
 # ---------------------------------------------------------------------------
-# numeric comparison helper
+# numeric comparison helpers
 
 
 def _residual_ok(val, precision, scale=1):
@@ -655,50 +619,60 @@ def _residual_ok(val, precision, scale=1):
     return res <= relative_tolerance(precision) * max(1.0, base)
 
 
+def _zero_ok(val, spec, precision, ctx):
+    """An exact zero on the exact families; on the numeric ones, below
+    the tolerance relative to the largest addend ``ctx`` evaluated."""
+    if spec.exact:
+        return _is_exact_zero(val)
+    return _residual_ok(val, precision, ctx.stats.max_mag)
+
+
 # ---------------------------------------------------------------------------
 # G-function gradients
+#
+# The parameter bases give the rows of the u-to-parameter Jacobian: the
+# partial of lambda in each sampled parameter, as a function evaluated
+# at the critical points.  The distinguished parameter (t_n or the
+# leading coefficient) is listed last and returned with the rows.
 
 
-def _lambda_parameter_basis(spec, point):
-    """Rows of the u-to-parameter Jacobian: the partial of lambda in
-    each sampled parameter, as a function evaluated at the critical
-    points.  The distinguished parameter (t_n or the leading
-    coefficient) is listed last."""
+def _apq_parameter_basis(spec, point):
     zs = point.internal["zs"]
-    if spec.kind == "Apq":
-        pdeg, qdeg = spec.p, spec.q
-        b = point.internal["b"]
-        tn = point.internal["tn"]
-        cols = []
-        for k in range(1, pdeg):
-            cols.append([z**k for z in zs])
+    pdeg, qdeg = spec.p, spec.q
+    b = point.internal["b"]
+    tn = point.internal["tn"]
+    cols = []
+    for k in range(1, pdeg):
+        cols.append([z**k for z in zs])
+    for k in range(1, qdeg):
+        cols.append([(tn / z) ** k for z in zs])
+    cols.append([mpmath.mpf(1)] * len(zs))  # t_{n-1}
+    dtn = []
+    for z in zs:
+        acc = qdeg * tn ** (qdeg - 1) / z**qdeg
         for k in range(1, qdeg):
-            cols.append([(tn / z) ** k for z in zs])
-        cols.append([mpmath.mpf(1)] * len(zs))  # t_{n-1}
-        dtn = []
-        for z in zs:
-            acc = qdeg * tn ** (qdeg - 1) / z**qdeg
-            for k in range(1, qdeg):
-                acc += b[k] * k * tn ** (k - 1) / z**k
-            dtn.append(acc)
-        cols.append(dtn)
-        return cols, tn
-    if spec.kind == "Dr":
-        r = spec.r
-        t1, t2 = point.internal["t1"], point.internal["t2"]
-        cols = []
-        for k in range(r):
-            cols.append([z**k for z in zs])
-        cols.append([(2 * t1 + z * t2) / (z * z - 4) for z in zs])
-        cols.append([(z * t1 + 2 * t2) / (z * z - 4) for z in zs])
-        cols.append([z**r for z in zs])  # leading coefficient, kept last
-        return cols, point.internal["c"][r]
-    raise ValueError("no lambda parametrization for %r" % spec.kind)
+            acc += b[k] * k * tn ** (k - 1) / z**k
+        dtn.append(acc)
+    cols.append(dtn)
+    return cols, tn
+
+
+def _dr_parameter_basis(spec, point):
+    zs = point.internal["zs"]
+    r = spec.r
+    t1, t2 = point.internal["t1"], point.internal["t2"]
+    cols = []
+    for k in range(r):
+        cols.append([z**k for z in zs])
+    cols.append([(2 * t1 + z * t2) / (z * z - 4) for z in zs])
+    cols.append([(z * t1 + 2 * t2) / (z * z - 4) for z in zs])
+    cols.append([z**r for z in zs])  # leading coefficient, kept last
+    return cols, point.internal["c"][r]
 
 
 def _log_tn_gradient(spec, point):
     """d(log t_n)/du_i for all i, through the parameter Jacobian."""
-    cols, tn = _lambda_parameter_basis(spec, point)
+    cols, tn = FAMILIES[spec.kind].parameter_basis(spec, point)
     n = point.n
     jac = mpmath.matrix(n, n)
     for i in range(n):
@@ -708,42 +682,37 @@ def _log_tn_gradient(spec, point):
     return [inv[n - 1, i] / tn for i in range(n)]
 
 
-def gfunction_gradient_check(point, spec, precision=None):
-    """Verify the genus-one G-function gradient against the family's
-    closed form: zero for the polynomial and exceptional families,
-    eta_ii/24 with d(log t_n)/du_i = -eta_ii (r-scaled for the
-    D-orbifold) on the orbifold families."""
-    if precision is None:
-        precision = point.provenance.get("precision", DEFAULT_PRECISION)
-    report = VerificationReport(
-        command="verify-gfunction", n=point.n, family=spec.label,
-        precision=precision,
-    )
-    table = CorrelatorTable(Algebra(point.n))
-    digest = point.digest()
-    with mpmath.workprec(precision + 64):
-        ctx = point.context()
-        grads = [ctx.evaluate(table.g_gradient(i)) for i in table.alg.indices()]
-        if spec.kind in ADE_KINDS:
-            for val in grads:
-                if spec.exact:
-                    ok = _is_exact_zero(val)
-                else:
-                    ok = _residual_ok(val, precision, ctx.stats.max_mag)
-                report.add_trial(digest, _res_str(val), ok)
-            return report
-        if spec.kind == "TwoDim":
-            raise ValueError("no G-function closed form for the 2D family")
-        scale = spec.r if spec.kind == "Dr" else 1
-        eta = point.internal["eta"]
-        logt = _log_tn_gradient(spec, point)
-        for i, val in enumerate(grads):
-            res1 = val - eta[i] / 24
-            res2 = logt[i] + scale * eta[i]
-            ok = (_residual_ok(res1, precision, ctx.stats.max_mag)
-                  and _residual_ok(res2, precision, eta[i]))
-            report.add_trial(digest, _res_str(max(abs(res1), abs(res2))), ok)
-    return report
+def _gradient_trials(spec, precision):
+    """Trials comparing the genus-one G-function gradient with the
+    family's closed form: zero for the polynomial and exceptional
+    families, eta_ii/24 with d(log t_n)/du_i = -c eta_ii on the orbifold
+    families (c is the record's ``log_scale``)."""
+    family = FAMILIES[spec.kind]
+    if not family.gradient_closed_form:
+        raise ValueError("no G-function closed form for the %s family" % spec.label)
+    table = CorrelatorTable(Algebra(spec.n))
+    exprs = [table.g_gradient(i) for i in table.alg.indices()]
+
+    def trials(point):
+        with mpmath.workprec(precision + 64):
+            ctx = point.context()
+            grads = [ctx.evaluate(e) for e in exprs]
+            if family.ade:
+                return [(_res_str(val), _zero_ok(val, spec, precision, ctx))
+                        for val in grads]
+            scale = family.log_scale(spec)
+            eta = point.internal["eta"]
+            logt = _log_tn_gradient(spec, point)
+            out = []
+            for i, val in enumerate(grads):
+                res1 = val - eta[i] / 24
+                res2 = logt[i] + scale * eta[i]
+                ok = (_residual_ok(res1, precision, ctx.stats.max_mag)
+                      and _residual_ok(res2, precision, eta[i]))
+                out.append((_res_str(max(abs(res1), abs(res2))), ok))
+            return out
+
+    return trials
 
 
 def _is_exact_zero(val):
@@ -764,15 +733,17 @@ def _res_str(val):
 # residue identity suites
 
 
-def _an_residue_draw(rng, n):
+# Each ``*_residue_checks(spec, rng)`` draws fresh exact parameters and
+# returns the named pairs of values that must both vanish, and the draw.
+
+
+def _an_residue_checks(spec, rng):
+    n = spec.n
     while True:
         zs = [random_rational(rng, 12) for _ in range(n - 1)]
         zs.append(-sum(zs, Fraction(0)))
         if len(set(zs)) == n:
-            return zs
-
-
-def _an_residue_checks(zs, n):
+            break
     lam1 = _monic_from_roots(zs, Fraction(n + 1))
     lam2 = lam1.deriv()
     lam4 = lam2.deriv().deriv()
@@ -792,7 +763,7 @@ def _an_residue_checks(zs, n):
                        lhs + res, lhs - rhs))
         total += lhs
     checks.append(("infinity", residue_at_infinity(lam4, lam1), total))
-    return checks
+    return checks, zs
 
 
 def _laurent_deriv(num, m):
@@ -801,7 +772,12 @@ def _laurent_deriv(num, m):
     return num.deriv() * zpoly - m * num, m + 1
 
 
-def _dn_residue_checks(xs, n, shift):
+def _dn_residue_checks(spec, rng):
+    n = spec.n
+    xs = None
+    while xs is None:
+        xs = _dn_xs(rng, n)
+    shift = random_rational(rng, 12)
     num = _dn_lambda(xs, n, shift)
     zpoly = Poly([Fraction(0), Fraction(1)])
     n1, m1 = _laurent_deriv(num, 1)   # lambda'   = n1 / z^2
@@ -843,7 +819,7 @@ def _dn_residue_checks(xs, n, shift):
     glob = (recip + residue(gnum, gden, Fraction(0))
             + residue_at_infinity(gnum, gden))
     checks.append(("global", glob, recip))
-    return checks
+    return checks, (xs, shift)
 
 
 def _e6_g_parts(ts):
@@ -862,7 +838,7 @@ def _e6_g_parts(ts):
     return p, q, pp, gnum, gden
 
 
-def _e6_residue_checks(rng):
+def _e6_residue_checks(spec, rng):
     while True:
         ts = [random_rational(rng, 9) for _ in range(6)]
         if ts[0] == 0:
@@ -879,10 +855,10 @@ def _e6_residue_checks(rng):
     return [
         ("infinity", at_inf - want, at_inf + at_root),
         ("p-prime root", at_root + want, Fraction(0)),
-    ]
+    ], "rational t draw"
 
 
-def _e8_residue_checks(rng):
+def _e8_residue_checks(spec, rng):
     from .radicals import is_square_fraction
 
     while True:
@@ -914,37 +890,21 @@ def _e8_residue_checks(rng):
     return [
         ("root pair", res1 + res2, res1 - printed),
         ("infinity", at_inf, Fraction(0)),
-    ]
+    ], "rational t draw"
 
 
 def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
     """Re-run the printed residue computations on fresh exact parameter
     draws; every check is an exact zero test."""
+    residue_checks = FAMILIES[spec.kind].residue_checks
+    if residue_checks is None:
+        raise ValueError("no residue suite for the %s family" % spec.label)
     report = VerificationReport(
         command="verify-residues", n=spec.n, family=spec.label, seed=seed,
     )
     rng = random.Random("%s|%s|residues" % (seed, spec.label))
     for _ in range(draws):
-        if spec.kind == "An":
-            zs = _an_residue_draw(rng, spec.n)
-            checks = _an_residue_checks(zs, spec.n)
-            draw = zs
-        elif spec.kind == "Dn":
-            while True:
-                xs = _dn_xs(rng, spec.n)
-                if xs is not None:
-                    break
-            shift = random_rational(rng, 12)
-            checks = _dn_residue_checks(xs, spec.n, shift)
-            draw = (xs, shift)
-        elif spec.kind == "E6":
-            checks = _e6_residue_checks(rng)
-            draw = "rational t draw"
-        elif spec.kind == "E8":
-            checks = _e8_residue_checks(rng)
-            draw = "rational t draw"
-        else:
-            raise ValueError("no residue suite for %r" % spec.kind)
+        checks, draw = residue_checks(spec, rng)
         digest = point_digest((spec.label, draw))
         for name, first, second in checks:
             ok = _is_exact_zero(first) and _is_exact_zero(second)
@@ -958,9 +918,32 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
 # family-level verification suites
 
 
-def _family_points(spec, points, seed, precision):
+def _family_suite(command, spec, points, seed, precision, trials, **params):
+    """The report of ``trials(point)`` on ``points`` family points drawn
+    at seeds seed, seed + 1, ...; ``trials`` returns one (residual, ok)
+    pair per trial."""
+    report = VerificationReport(
+        command=command, n=spec.n, family=spec.label,
+        seed=seed, precision=precision, params=params,
+    )
     for k in range(points):
-        yield sample(spec, seed=seed + k, precision=precision)
+        point = sample(spec, seed=seed + k, precision=precision)
+        for res, ok in trials(point):
+            report.add_trial(point.digest(), res, ok)
+    return report
+
+
+def _evaluates_to(build, spec, precision, want=Fraction(0)):
+    """Trials that the DAG ``build`` makes at n evaluates to ``want``."""
+    expr = build(Algebra(spec.n))
+
+    def trials(point):
+        with mpmath.workprec(precision + 64):
+            ctx = point.context()
+            val = ctx.evaluate(expr) - want
+        return [(_res_str(val), _zero_ok(val, spec, precision, ctx))]
+
+    return trials
 
 
 def g2_vanishing_check(spec, points=3, seed=DEFAULT_SEED,
@@ -968,24 +951,8 @@ def g2_vanishing_check(spec, points=3, seed=DEFAULT_SEED,
     """The genus-two correction term evaluates to zero on the family:
     exactly on the exact families, below the relative tolerance on the
     numeric ones."""
-    from .genus2 import g2_function
-
-    alg = Algebra(spec.n)
-    expr = g2_function(alg)
-    report = VerificationReport(
-        command="verify-g2", n=spec.n, family=spec.label,
-        seed=seed, precision=precision,
-    )
-    for point in _family_points(spec, points, seed, precision):
-        with mpmath.workprec(precision + 64):
-            ctx = point.context()
-            val = ctx.evaluate(expr)
-        if spec.exact:
-            ok = _is_exact_zero(val)
-        else:
-            ok = _residual_ok(val, precision, ctx.stats.max_mag)
-        report.add_trial(point.digest(), _res_str(val), ok)
-    return report
+    return _family_suite("verify-g2", spec, points, seed, precision,
+                         _evaluates_to(g2_function, spec, precision))
 
 
 def relation_family_check(spec, points=3, seed=DEFAULT_SEED,
@@ -993,47 +960,70 @@ def relation_family_check(spec, points=3, seed=DEFAULT_SEED,
     """The sixteen-term graph combination evaluates to zero on family
     points (it equals the second x-derivative of O1 - O2, which is a
     constant on every family)."""
-    from .genus2 import relation_expression
-
-    alg = Algebra(spec.n)
-    expr = relation_expression(alg)
-    report = VerificationReport(
-        command="verify-relation", n=spec.n, family=spec.label,
-        seed=seed, precision=precision,
-    )
-    for point in _family_points(spec, points, seed, precision):
-        with mpmath.workprec(precision + 64):
-            ctx = point.context()
-            val = ctx.evaluate(expr)
-        if spec.exact:
-            ok = _is_exact_zero(val)
-        else:
-            ok = _residual_ok(val, precision, ctx.stats.max_mag)
-        report.add_trial(point.digest(), _res_str(val), ok)
-    return report
+    return _family_suite("verify-relation", spec, points, seed, precision,
+                         _evaluates_to(relation_expression, spec, precision))
 
 
 def o_difference_check(spec, points=3, seed=DEFAULT_SEED,
                        precision=DEFAULT_PRECISION):
     """O1 - O2 evaluated through the graph contractions matches the
     family's closed-form value."""
-    from .genus2 import o_difference_graphs
-
-    alg = Algebra(spec.n)
-    expr = o_difference_graphs(alg)
     want = closed_form_o_difference(spec)
-    report = VerificationReport(
-        command="compute-odiff", n=spec.n, family=spec.label,
-        seed=seed, precision=precision,
-        params={"closed_form": str(want)},
-    )
-    for point in _family_points(spec, points, seed, precision):
-        with mpmath.workprec(precision + 64):
-            ctx = point.context()
-            val = ctx.evaluate(expr) - want
-        if spec.exact:
-            ok = _is_exact_zero(val)
-        else:
-            ok = _residual_ok(val, precision, ctx.stats.max_mag)
-        report.add_trial(point.digest(), _res_str(val), ok)
-    return report
+    return _family_suite("compute-odiff", spec, points, seed, precision,
+                         _evaluates_to(o_difference_graphs, spec, precision, want),
+                         closed_form=str(want))
+
+
+def gfunction_check(spec, points=3, seed=DEFAULT_SEED,
+                    precision=DEFAULT_PRECISION):
+    """The genus-one G-function gradients match the family's closed
+    form at every point, one trial per gradient component."""
+    return _family_suite("verify-gfunction", spec, points, seed, precision,
+                         _gradient_trials(spec, precision))
+
+
+# ---------------------------------------------------------------------------
+# the family table: everything that differs between family kinds
+
+
+@dataclass(frozen=True)
+class Family:
+    flag: str  # the CLI's --family value
+    params: tuple  # the constructor's arguments, named as CLI options
+    make: Callable  # the FamilySpec constructor
+    label: str  # the spec label, formatted from the spec's fields
+    sampler: Callable  # (spec, rng), or (spec, rng, precision) when numeric
+    exact: bool
+    ade: bool = False  # the G-function gradient vanishes
+    o_difference: Callable = lambda spec: Fraction(0)  # the closed-form O1 - O2
+    parameter_basis: Optional[Callable] = None  # see _log_tn_gradient
+    log_scale: Optional[Callable] = None  # spec -> c in d(log t_n)/du_i = -c eta_ii
+    residue_checks: Optional[Callable] = None  # see residue_identity_suite
+
+    @property
+    def gradient_closed_form(self):
+        """Whether the G-function gradient has a closed form to check."""
+        return self.ade or self.parameter_basis is not None
+
+
+FAMILIES = {
+    "An": Family("an", ("n",), FamilySpec.An, "An({n})", _sample_an,
+                 exact=True, ade=True, residue_checks=_an_residue_checks),
+    "Dn": Family("dn", ("n",), FamilySpec.Dn, "Dn({n})", _sample_dn,
+                 exact=True, ade=True, residue_checks=_dn_residue_checks),
+    "E6": Family("e6", (), FamilySpec.E6, "E6", _sample_e68,
+                 exact=False, ade=True, residue_checks=_e6_residue_checks),
+    "E7": Family("e7", (), FamilySpec.E7, "E7", _sample_e7,
+                 exact=False, ade=True),
+    "E8": Family("e8", (), FamilySpec.E8, "E8", _sample_e68,
+                 exact=False, ade=True, residue_checks=_e8_residue_checks),
+    "Apq": Family("apq", ("p", "q"), FamilySpec.ApqOrbifold, "Apq({p},{q})",
+                  _sample_apq, exact=False,
+                  o_difference=lambda s: Fraction(s.p**3 + s.q**3 - s.p - s.q, 6),
+                  parameter_basis=_apq_parameter_basis, log_scale=lambda s: 1),
+    "Dr": Family("dr", ("r",), FamilySpec.DrOrbifold, "Dr({r})", _sample_dr,
+                 exact=False, o_difference=lambda s: Fraction(s.r**3 - s.r, 6) + 2,
+                 parameter_basis=_dr_parameter_basis, log_scale=lambda s: s.r),
+    "TwoDim": Family("2d", ("mu1",), FamilySpec.TwoDim, "TwoDim({mu1})",
+                     _sample_twodim, exact=True),
+}

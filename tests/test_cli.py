@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, JSON-lines output shape,
 reproducibility."""
 
+import hashlib
 import json
 
 import mpmath
@@ -37,6 +38,37 @@ class TestExitCodes:
         assert res.exit_code == 2
         res = runner.invoke(main, ["no-such-verb"])
         assert res.exit_code == 2
+        # arguments a constructor or an option range rejects, and verbs
+        # the family has no closed form or suite for; none may reach a
+        # suite, so none may report a verdict
+        for args in [
+            "verify-g2 --family an --n 0",
+            "verify-g2 --family dn --n 2",
+            "verify-g2 --family dr --r 0",
+            "verify-g2 --family 2d --mu1 0",
+            "verify-g2 --family 2d --mu1 1/0",
+            "verify-g2 --family 2d --mu1 x",
+            "verify-relation --family apq --p 0 --q 1",
+            "verify-decomposition --n 0 --trials 1",
+            "dump-expr --what g2 --n 0",
+            "dump-expr --what graph",
+            "solve-coefficients --samples 5",
+            "verify-g2 --family an --n 3 --points 0",
+            "compute-odiff --family an --n 3 --points -1",
+            "verify-residues --family e8 --draws 0",
+            "verify-residues --family dr --r 1",
+            "verify-gfunction --family 2d --mu1 1/2",
+        ]:
+            res = runner.invoke(main, args.split())
+            assert res.exit_code == 2, args
+            assert res.stdout == "", args
+
+    def test_error_is_four(self, runner):
+        # a singular sampled system is an error, not a failed identity
+        res = runner.invoke(main, ["solve-coefficients", "--n", "1"])
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert "singular or inconsistent" in res.stderr
 
 
 class TestOutputShape:
@@ -104,3 +136,64 @@ class TestReproducibility:
         assert solo.exit_code == 0
         assert solo.output == pooled.output
         assert mpmath.mp.prec == prec
+
+
+# exit code and sha256 of stdout for each command, recorded before the
+# family table replaced the per-verb kind dispatch; the default seed
+GOLDEN = [
+    ("verify-g2 --family an --n 3 --points 1", 0,
+     "94bcfefc5785c22391dd9ebbbff15c372cb0d2209757d3571479091ec23cbc57"),
+    ("verify-g2 --family dr --r 1 --points 1", 0,
+     "24f73dd8fdfbb4b375be8b5c1fe557692a3e5fc47c48cfd786f9a2a875b2924f"),
+    ("verify-g2 --family 2d --mu1 1/4 --points 1", 1,
+     "69aed0804f43499240df1f9a82a5d0709d87c4d0e1f53cca0733e15f3c185b2c"),
+    ("verify-relation --family dn --n 3 --points 1", 0,
+     "c47bb3086bb42cf61bd1641d3064a1270a22c36e3e1aabf15e21ce1d97f47f9e"),
+    ("verify-relation --family apq --p 1 --q 2 --points 1", 0,
+     "49e1253208a9784278b22ac82f734bd3d7cb3ddeabd6067155bc0477bca720e1"),
+    ("compute-odiff --family an --n 3", 0,
+     "b431ca35ad539237793a694b2c66f649bb16e4dc96ffffd5b598dcf4ad611740"),
+    ("compute-odiff --family dr --r 2", 0,
+     "b3dd76bf97c1142305bfff36759c2694d1646c1a6c38684546a97988c6ab744f"),
+    ("compute-odiff --family an --n 3 --points 1", 0,
+     "99576898eca30e9b867de3311176b16f437313ecae8101e5d874571c5aa7137c"),
+    ("compute-odiff --family apq --p 1 --q 2 --points 1", 0,
+     "eb1e2e416ae1ee8640b92635a0d2bea4df2b49b032790e72eb9a1ba0fd741f30"),
+    ("verify-gfunction --family an --n 3 --points 1", 0,
+     "4bff3dce603c27c05ad00797cd37fa4baeb1e935b37b3ce604b440449e5d62b6"),
+    ("verify-gfunction --family dr --r 1 --points 1", 0,
+     "0548c478c88d5766952b4236fc757631394f1e86a9a05304548fe804743d4c5e"),
+    ("verify-residues --family an --n 3 --draws 2", 0,
+     "d95993d3c57a37cc0c644935a7a2deea104c86db66fcec66b3bfcd5929f55547"),
+    ("verify-residues --family e6 --draws 2", 0,
+     "1bb4324b4e946e536cb492e41ab0e2d9da230799c470190beaf762c95a03789e"),
+    ("verify-decomposition --n 2 --trials 2", 0,
+     "a9d8144539c023e1cf29ae32376ad0714ba1e9609e768367ad097e608db7e357"),
+    ("solve-coefficients --n 2", 0,
+     "75f159db2c5c29f133671240de3ec9916c0809b6d0bf2c619a6aa6afa2f217b3"),
+    ("enumerate-graphs", 0,
+     "57c4c96bfcbeebcad9a738ecd652f9b5e46ec3560d5cf198d4eb798fe9956c2a"),
+    ("enumerate-graphs --emit dot", 0,
+     "ea8ae82b4f171cc2c55b576732e90e81bc7bc50e98e40aeb6ac3a8fed37453dc"),
+    ("dump-expr --what g2 --n 2", 0,
+     "5c042f8b035224a093a75a90055bf43fd54c675d3492f19c2aeacff86c90d6e2"),
+    ("dump-expr --what relation --n 2", 0,
+     "0392dbda15c0b486b62441142e3c4b55347e4ab5e5eeb895f908b6778741c409"),
+    ("dump-expr --what graph --name Q3 --n 2", 0,
+     "a234442203f725e35df27320f0fcc603cbc55d7c1dbb5692e6a353c379e6a7eb"),
+    ("dump-expr --what f2 --n 1", 0,
+     "5c6541e50567d58f13ef5c3cc786f8718be6b1f5593bf35e19bf0713c66c7bcc"),
+    ("verify-gfunction --family 2d --mu1 1/2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify-residues --family dr --r 1", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("args,code,digest", GOLDEN,
+                             ids=[g[0] for g in GOLDEN])
+    def test_same_bytes(self, runner, args, code, digest):
+        res = runner.invoke(main, args.split())
+        assert res.exit_code == code
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
