@@ -103,7 +103,8 @@ def _guarded(body):
 
 
 def _family_options(fn):
-    for deco in (
+    # the last decorator applied is listed first in --help
+    for deco in reversed((
         click.option("--family", type=click.Choice(list(_BY_FLAG)), required=True,
                      help="Family kind."),
         click.option("--n", type=click.IntRange(min=1), default=None,
@@ -113,7 +114,7 @@ def _family_options(fn):
         click.option("--r", type=int, default=None, help="D-orbifold parameter."),
         click.option("--mu1", type=str, default=None,
                      help="Rational parameter of the 2D family."),
-    ):
+    )):
         fn = deco(fn)
     return fn
 

@@ -18,8 +18,12 @@ across processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import frexp, isinf
 from operator import attrgetter
 from weakref import WeakValueDictionary
+
+import mpmath
+from mpmath.libmp import fzero
 
 OP_CONST = 0
 OP_GEN = 1
@@ -295,16 +299,41 @@ def generators(e):
     return [n for n in _postorder(e) if n.op == OP_GEN]
 
 
+_MPC = mpmath.mp.mpc
+_MP_TYPES = frozenset(mpmath.mp.types)
+
+
 class EvalStats:
     """Collects the largest magnitude seen among addends (numeric runs);
-    an addend beyond the float range reads as inf."""
+    an addend beyond the float range reads as inf.
 
-    __slots__ = ("max_mag",)
+    ``max_mag`` is exactly the largest ``float(abs(v))`` noted.  An mpc
+    addend whose binary exponents put it below ``2 ** _below``, which is
+    at most ``max_mag``, cannot be a new maximum and is skipped without
+    taking its working-precision ``abs()``."""
+
+    __slots__ = ("max_mag", "_below")
 
     def __init__(self):
         self.max_mag = 0.0
+        self._below = None  # None while max_mag is 0 or inf
 
     def note(self, v):
+        below = self._below
+        if below is not None and type(v) is _MPC:
+            top = None
+            for part in v._mpc_:  # (sign, man, exp, bc): |part| < 2**(exp+bc)
+                if part[1]:
+                    t = part[2] + part[3]
+                    if top is None or t > top:
+                        top = t
+                elif part != fzero:
+                    break  # inf or nan
+            else:
+                # |v| < 2**(top+1) <= 2**below <= max_mag, and v == 0 is
+                # never a new maximum
+                if top is None or top + 1 <= below:
+                    return
         try:
             m = float(abs(v))
         except (TypeError, ValueError):
@@ -313,13 +342,55 @@ class EvalStats:
             m = float("inf")
         if m > self.max_mag:
             self.max_mag = m
+            self._below = None if isinf(m) else frexp(m)[1] - 1
+
+
+def _fold(node, cache, stats, converted):
+    """Left-to-right sum or product of a node's operands on a numeric
+    point.  A Fraction operand that meets an mpmath value is converted
+    once per evaluation (``converted``) instead of once per use inside
+    mpmath's operators; the arithmetic and its rounding are the same.
+    Fraction with Fraction stays exact."""
+    is_add = node.op == OP_ADD
+    args = node.args
+    v = cache[args[0]]
+    if is_add:
+        stats.note(v)
+    # the node whose exact value v still is, while v is an unconverted Fraction
+    pending = args[0] if type(v) is Fraction else None
+    for c in args[1:]:
+        cv = cache[c]
+        if is_add:
+            stats.note(cv)
+        if type(cv) is Fraction:
+            if type(v) in _MP_TYPES:
+                cv = _converted(c, cv, converted)
+        elif pending is not None and type(cv) in _MP_TYPES:
+            # Fraction op mpmath dispatches to the mpmath operand's
+            # reflected operator, which computes cv op convert(v)
+            q = _converted(pending, v, converted)
+            v = cv + q if is_add else cv * q
+            pending = None
+            continue
+        v = v + cv if is_add else v * cv
+        pending = None
+    return v
+
+
+def _converted(node, q, converted):
+    m = converted.get(node)
+    if m is None:
+        m = converted[node] = mpmath.mp.convert(q)
+    return m
 
 
 def evaluate(e, gen_value, cache=None, stats=None):
     """Evaluate the DAG.  ``gen_value`` maps (kind, i, p) to a scalar,
-    ``cache`` is a per-point memo shared across expressions."""
+    ``cache`` is a per-point memo shared across expressions.  With
+    ``stats`` (numeric points) the addend magnitudes are noted in it."""
     if cache is None:
         cache = {}
+    converted = {}
     for node in _postorder(e):
         if node in cache:
             continue
@@ -328,24 +399,21 @@ def evaluate(e, gen_value, cache=None, stats=None):
             v = node.args[0]
         elif op == OP_GEN:
             v = gen_value(node.args)
+        elif op == OP_POW:
+            b, k = node.args
+            v = cache[b] ** k
+        elif stats is not None:
+            v = _fold(node, cache, stats, converted)
         elif op == OP_ADD:
             it = iter(node.args)
             v = cache[next(it)]
-            if stats is not None:
-                stats.note(v)
             for c in it:
-                cv = cache[c]
-                if stats is not None:
-                    stats.note(cv)
-                v = v + cv
-        elif op == OP_MUL:
+                v = v + cache[c]
+        else:
             it = iter(node.args)
             v = cache[next(it)]
             for c in it:
                 v = v * cache[c]
-        else:
-            b, k = node.args
-            v = cache[b] ** k
         cache[node] = v
     return cache[e]
 

@@ -224,21 +224,22 @@ class RadicalElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is Fraction:
+            if not other:
+                return RadicalElem(self.field, {})
+            return RadicalElem(self.field, {m: c * other for m, c in self.coeffs.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         rads = self.field.radicands
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            ((m1, c1),) = self.coeffs.items()
+            ((m2, c2),) = other.coeffs.items()
+            return RadicalElem(self.field, {m1 ^ m2: _shared(c1 * c2, m1 & m2, rads)})
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                c = c1 * c2
-                common = m1 & m2
-                k = 0
-                while common:
-                    if common & 1:
-                        c *= rads[k]
-                    common >>= 1
-                    k += 1
+                c = _shared(c1 * c2, m1 & m2, rads)
                 m = m1 ^ m2
                 s = out.get(m, Fraction(0)) + c
                 if s:
@@ -285,21 +286,6 @@ class RadicalElem:
             k >>= 1
         return out
 
-    def __abs__(self):
-        # cheap float-precision magnitude, used only for evaluation stats
-        acc = 0.0
-        for m, c in self.coeffs.items():
-            prod = Fraction(1)
-            k = 0
-            mm = m
-            while mm:
-                if mm & 1:
-                    prod *= self.field.radicands[k]
-                mm >>= 1
-                k += 1
-            acc += abs(float(c)) * float(abs(prod)) ** 0.5
-        return acc
-
     def to_mpc(self, prec=None):
         if prec is None:
             prec = mpmath.mp.prec
@@ -316,3 +302,15 @@ class RadicalElem:
                     k += 1
                 acc += v
             return acc
+
+
+def _shared(c, common, rads):
+    """c times the radicands whose bits are set in ``common``: the
+    rational factor sqrt(r)**2 of each radical two monomials share."""
+    k = 0
+    while common:
+        if common & 1:
+            c *= rads[k]
+        common >>= 1
+        k += 1
+    return c

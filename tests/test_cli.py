@@ -197,3 +197,12 @@ class TestGoldenBytes:
         res = runner.invoke(main, args.split())
         assert res.exit_code == code
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+class TestHelp:
+    def test_family_options_in_declared_order(self, runner):
+        res = runner.invoke(main, ["verify-g2", "--help"])
+        assert res.exit_code == 0
+        order = [res.output.index(opt) for opt in
+                 ("--family", "--n ", "--p ", "--q ", "--r ", "--mu1", "--points")]
+        assert order == sorted(order)

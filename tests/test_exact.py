@@ -270,3 +270,44 @@ class TestRadicals:
         for k in range(4):
             x = x + K.sqrt_gen(k) * F(k + 1, k + 2)
         assert x * x.inverse() == K.one()
+
+    def test_mul_fast_paths_match_general_product(self):
+        # the general product: every pair of monomials, sqrt(r)**2 = r for
+        # each shared radical, like terms summed in first-seen order
+        def general(x, y):
+            rads = x.field.radicands
+            out = {}
+            for m1, c1 in x.coeffs.items():
+                for m2, c2 in y.coeffs.items():
+                    c = c1 * c2
+                    for k in range(len(rads)):
+                        if (m1 & m2) >> k & 1:
+                            c *= rads[k]
+                    s = out.get(m1 ^ m2, Fraction(0)) + c
+                    if s:
+                        out[m1 ^ m2] = s
+                    else:
+                        out.pop(m1 ^ m2, None)
+            return out
+
+        K = RadicalField([F(2), F(-3), F(5, 7)])
+        rng = random.Random(11)
+
+        def rand_elem(terms):
+            masks = rng.sample(range(8), terms)
+            return K.element({m: F(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for m in masks})
+
+        scalars = [F(0), F(1), F(-3, 4), F(22, 7)]
+        for _ in range(200):
+            x = rand_elem(rng.choice([0, 1, 1, 1, 2, 3, 5]))
+            y = rand_elem(rng.choice([0, 1, 1, 1, 2, 3, 8]))
+            assert list((x * y).coeffs.items()) == list(general(x, y).items())
+            q = rng.choice(scalars)
+            want = list(general(x, K.rational(q)).items())
+            assert list((x * q).coeffs.items()) == want
+            assert list((q * x).coeffs.items()) == want
+        # shared radicals, the negative one included: sqrt(-3)**2 = -3
+        a = K.element({0b011: F(2, 3)})
+        b = K.element({0b110: F(-5)})
+        assert (a * b).coeffs == {0b101: F(2, 3) * F(-5) * F(-3)}
+        assert list((a * b).coeffs.items()) == list(general(a, b).items())
