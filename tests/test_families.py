@@ -11,6 +11,7 @@ Key oracles:
 * determinism: sampling is pure in (spec, seed, precision).
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from frobg2.families import (
 )
 from frobg2.genus2 import o_difference_graphs
 from frobg2.algebra import Algebra
-from frobg2.radicals import radical_tower
+from frobg2.radicals import RadicalElem, radical_tower
 
 
 class TestSampling:
@@ -71,6 +72,78 @@ class TestSampling:
         gam = point.gammas[(1, 2)]
         prod = gam * (point.us[0] - point.us[1])
         assert prod * prod == -spec.mu1 * spec.mu1
+
+
+def _exact_bytes(v):
+    """An exact, order-preserving serialization of a sampled value."""
+    if isinstance(v, RadicalElem):
+        return "R%r%r" % (v.field.radicands, list(v.coeffs.items()))
+    if isinstance(v, mpmath.mpc):
+        return "C%r%r" % (v.real.man_exp, v.imag.man_exp)
+    return repr(v)
+
+
+def _point_sha(point):
+    h = hashlib.sha256()
+    for part in (point.us, point.hs):
+        for v in part:
+            h.update(_exact_bytes(v).encode())
+    for part in (point.gammas, point.jets):
+        for k, v in part.items():
+            h.update(("%r=%s;" % (k, _exact_bytes(v))).encode())
+    return h.hexdigest()
+
+
+_PINNED_SPECS = {spec.label: spec for spec in [
+    FamilySpec.An(4), FamilySpec.Dn(4), FamilySpec.TwoDim(Fraction(1, 3)),
+    FamilySpec.E6(), FamilySpec.E7(), FamilySpec.E8(),
+    FamilySpec.ApqOrbifold(2, 1), FamilySpec.DrOrbifold(2),
+]}
+
+# sha256 of (us, hs, gammas, jets), recorded before the samplers were
+# rewritten around one redraw loop; a change in the rng consumption
+# order or in any arithmetic step moves them
+PINNED_SAMPLES = {
+    ("An(4)", 3):
+        "c5e9e9ed40c8809debc63b5d8bba3de958a5be2381fe76dc87e6ada8b7af785a",
+    ("An(4)", 20120427):
+        "c4c9f713c63a2f7abe24bde0c8c34221dd51413f1465d6a4f9b41548cc03f45b",
+    ("Dn(4)", 3):
+        "a91df2d948beed55a08ba5d9151f93b950379825b8ad91ee4c68e1d4b8074568",
+    ("Dn(4)", 20120427):
+        "531f2334c5d1ede2553367707da68a7b2e4329bf54acef89a369454547577546",
+    ("TwoDim(1/3)", 3):
+        "15639b5aa906bcee79e060a373988e853d1c463edcb38dfbfd14871ccb53eb55",
+    ("TwoDim(1/3)", 20120427):
+        "9ca5864bbd664e81e6ce96e2ff26fb8eef7f8ca058f599df469463f9758b8cd0",
+    ("E6", 3):
+        "4ed551a6e886eaf7feeeef757f1ea9bd1cdf03164cb2507cd626d78fd10ad203",
+    ("E6", 20120427):
+        "e197439df7dada90be95d001e9b2a17aa8d19b564bea18b0f913bc7ad51e873b",
+    ("E7", 3):
+        "009563ff503e3ec84165ebce133e163766e0fe016d298f884ce54930e6a0b51e",
+    ("E7", 20120427):
+        "54dc7e5e256ee4b279eb5ec5370b735da74a27a02b0c224c69a4b45e5780be40",
+    ("E8", 3):
+        "27240e0c08c416d891e7aba5c7441907c72597e743393646d7dad61e235e09c2",
+    ("E8", 20120427):
+        "54f856e8278204ca01193f7e02b6d23fe5a1eab7de0ae2f5f1bd1f547643004d",
+    ("Apq(2,1)", 3):
+        "005d2e013430137cdb9c399c31d9ec7bf7b33a71ede20df7c8edb32be83b1288",
+    ("Apq(2,1)", 20120427):
+        "9260d25b244c15841cddd611ec28cb38b0ad904fb2486c40cbc4f6427fbc8529",
+    ("Dr(2)", 3):
+        "9a0f654140754723f62092bfcf910ff7f50169341d406d71140fa8c962308542",
+    ("Dr(2)", 20120427):
+        "30cea2947b6196ff4da06ec5d92c1ee693632162ea21480235048cab726c8ddb",
+}
+
+
+class TestPinnedSamples:
+    @pytest.mark.parametrize("label,seed", sorted(PINNED_SAMPLES))
+    def test_sample_digest(self, label, seed):
+        spec = _PINNED_SPECS[label]
+        assert _point_sha(sample(spec, seed=seed)) == PINNED_SAMPLES[label, seed]
 
 
 class TestODifference:
