@@ -47,11 +47,10 @@ DEFAULT_MAX_JET = 4
 
 
 class Algebra:
-    def __init__(self, n, max_jet=DEFAULT_MAX_JET):
+    def __init__(self, n):
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n
-        self.max_jet = max_jet  # sampling depth hint; total_x may exceed it
         self._pu_caches = {}
         self._pj_caches = {}
         self._tx_cache = {}

@@ -150,7 +150,7 @@ def cmd_verify_decomposition(n, trials, seed, output):
 
 
 @main.command("solve-coefficients")
-@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
 @click.option("--samples", type=click.IntRange(min=32), default=32, show_default=True)
 @seed_option
 @output_option

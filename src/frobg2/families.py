@@ -8,6 +8,12 @@ rotation-coefficient formulas supply gamma_ij.  The polynomial families
 a square-root extension of the rationals; the exceptional and orbifold
 families go through high-precision complex root finding.
 
+Each sampler, like each residue check, is one draw that returns None
+when the draw is degenerate.  One bounded loop, ``_redraw``, redraws
+it up to ``MAX_RESAMPLE`` times and then raises ``DegenerateSample``.
+A root finder that does not converge makes a degenerate draw; any
+other error propagates.
+
 Besides the samplers the module carries the families' closed-form
 constants (the O1 - O2 values), the G-function gradient checks, and the
 residue-identity suites that re-run the printed residue computations on
@@ -23,15 +29,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 import mpmath
 
 from .algebra import Algebra, EvalContext, random_rational
 from .correlators import CorrelatorTable
-from .exact import Poly, poly_roots, residue, residue_at_infinity
+from .exact import NonConvergenceError, Poly, poly_roots, residue, residue_at_infinity
 from .genus2 import g2_function, o_difference_graphs, relation_expression
-from .radicals import RadicalElem, RadicalField, radical_tower
+from .radicals import RadicalElem, RadicalField, is_square_fraction, radical_tower
 from .report import (
     DEFAULT_PRECISION,
     DEFAULT_SEED,
@@ -166,7 +173,17 @@ def _scalar_json(v, prec):
 
 
 # ---------------------------------------------------------------------------
-# shared sampling helpers
+# the draw loop and shared sampling helpers
+
+
+def _redraw(draw, label):
+    """The first result of ``draw()`` that is not None; a degenerate
+    draw returns None and is redrawn, at most MAX_RESAMPLE times."""
+    for _ in range(MAX_RESAMPLE):
+        out = draw()
+        if out is not None:
+            return out
+    raise DegenerateSample(label)
 
 
 def _random_jets(rng, n, bound=50, orders=6):
@@ -210,60 +227,66 @@ def _rat_deriv(num, den):
     return num.deriv() * den - num * den.deriv(), den * den
 
 
-def _min_sep(vals):
-    best = None
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = abs(vals[i] - vals[j])
-            if best is None or d < best:
-                best = d
-    return best
+def _laurent_deriv(num, m):
+    """d/dz of num(z)/z^m, returned as (numerator, m + 1)."""
+    zpoly = Poly([Fraction(0), Fraction(1)])
+    return num.deriv() * zpoly - m * num, m + 1
 
 
-def _spread(vals):
-    worst = mpmath.mpf(0)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = abs(vals[i] - vals[j])
-            if d > worst:
-                worst = d
-    return worst
+def _rotations(n, f):
+    """The rotation coefficients {(i + 1, j + 1): f(i, j)} for i < j."""
+    return {(i + 1, j + 1): f(i, j) for i in range(n) for j in range(i + 1, n)}
+
+
+def _roots(poly, precision, away):
+    """The roots of ``poly``, or None when the draw is degenerate: the
+    root finder does not converge, two roots lie closer than 1e-3 of
+    the largest distance between roots, or ``away(y)`` is that small at
+    a root y."""
+    try:
+        ys = poly_roots(poly, precision)
+    except NonConvergenceError:
+        return None
+    dists = [abs(a - b) for a, b in combinations(ys, 2)]
+    spread = max(dists, default=0)
+    cut = spread * mpmath.mpf("1e-3")
+    if spread == 0 or min(dists) < cut or not all(abs(away(y)) >= cut for y in ys):
+        return None
+    return ys
 
 
 # ---------------------------------------------------------------------------
 # exact samplers
 
 
-def _sample_an(spec, rng):
+def _an_zs(rng, n):
+    """n rationals summing to zero, or None when two coincide."""
+    zs = [random_rational(rng, 12) for _ in range(n - 1)]
+    zs.append(-sum(zs, Fraction(0)))
+    return zs if len(set(zs)) == n else None
+
+
+def _sample_an(spec, rng, precision):
     n = spec.n
-    for _ in range(MAX_RESAMPLE):
-        zs = [random_rational(rng, 12) for _ in range(n - 1)]
-        zs.append(-sum(zs, Fraction(0)))
-        if len(set(zs)) != n:
-            continue
-        lam1 = _monic_from_roots(zs, Fraction(n + 1))
-        shift = random_rational(rng, 12)
-        lam = _antiderivative(lam1) + Poly([shift])
-        lam2 = lam1.deriv()
-        rads = [lam2(z) for z in zs]
-        if any(r == 0 for r in rads):
-            continue
-        us = [lam(z) for z in zs]
-        if len(set(us)) != n:
-            continue
-        fld, roots = radical_tower(rads)
-        hs = [roots[i] / rads[i] for i in range(n)]
-        gammas = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                gammas[(i + 1, j + 1)] = hs[i] * hs[j] / (zs[i] - zs[j]) ** 2
-        return {
-            "us": us, "hs": hs, "gammas": gammas,
-            "zs": zs, "lam": lam, "lam1": lam1, "shift": shift,
-            "eta": [Fraction(1) / r for r in rads],
-            "draw": ("An", n, zs, shift),
-        }
-    raise DegenerateSample(spec.label)
+    zs = _an_zs(rng, n)
+    if zs is None:
+        return None
+    lam1 = _monic_from_roots(zs, Fraction(n + 1))
+    shift = random_rational(rng, 12)
+    lam = _antiderivative(lam1) + Poly([shift])
+    lam2 = lam1.deriv()
+    rads = [lam2(z) for z in zs]
+    if any(r == 0 for r in rads):
+        return None
+    _, roots = radical_tower(rads)
+    hs = [roots[i] / rads[i] for i in range(n)]
+    return {
+        "us": [lam(z) for z in zs], "hs": hs,
+        "gammas": _rotations(n, lambda i, j: hs[i] * hs[j] / (zs[i] - zs[j]) ** 2),
+        "zs": zs, "lam": lam, "lam1": lam1, "shift": shift,
+        "eta": [Fraction(1) / r for r in rads],
+        "draw": ("An", n, zs, shift),
+    }
 
 
 def _dn_xs(rng, n, bound=12):
@@ -275,9 +298,7 @@ def _dn_xs(rng, n, bound=12):
     if s == 0:
         return None
     xs.append(Fraction(-1) / s)
-    if len(set(xs)) != n:
-        return None
-    return xs
+    return xs if len(set(xs)) == n else None
 
 
 def _dn_lambda(xs, n, shift):
@@ -292,45 +313,33 @@ def _dn_lambda(xs, n, shift):
     for j in range(2, n + 1):
         poly_part[j - 1] = Fraction(n - 1) * c[j] / (j - 1)
     num = Poly(poly_part) * Poly([Fraction(0), Fraction(1)])
-    num = num + Poly([-Fraction(n - 1) * c[0]])
-    return num  # lambda(x) = num(x) / x
+    return num + Poly([-Fraction(n - 1) * c[0]])  # N, lambda(x) = N(x) / x
 
 
-def _sample_dn(spec, rng):
+def _sample_dn(spec, rng, precision):
     n = spec.n
-    for _ in range(MAX_RESAMPLE):
-        xs = _dn_xs(rng, n)
-        if xs is None:
-            continue
-        shift = random_rational(rng, 12)
-        num = _dn_lambda(xs, n, shift)
-        n1, d1 = _rat_deriv(num, Poly([Fraction(0), Fraction(1)]))
-        n2, d2 = _rat_deriv(n1, d1)
-        lam2 = [n2(x) / d2(x) for x in xs]
-        rads = [2 * x * l2 for x, l2 in zip(xs, lam2)]
-        if any(r == 0 for r in rads):
-            continue
-        us = [num(x) / x for x in xs]
-        if len(set(us)) != n:
-            continue
-        fld, roots = radical_tower(rads)
-        hs = [roots[i] / rads[i] for i in range(n)]
-        gammas = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                gammas[(i + 1, j + 1)] = (
-                    (xs[i] + xs[j]) * hs[i] * hs[j] / (xs[i] - xs[j]) ** 2
-                )
-        return {
-            "us": us, "hs": hs, "gammas": gammas,
-            "xs": xs, "num": num, "shift": shift,
-            "eta": [Fraction(1) / r for r in rads],
-            "draw": ("Dn", n, xs, shift),
-        }
-    raise DegenerateSample(spec.label)
+    xs = _dn_xs(rng, n)
+    if xs is None:
+        return None
+    shift = random_rational(rng, 12)
+    num = _dn_lambda(xs, n, shift)
+    n2, m2 = _laurent_deriv(*_laurent_deriv(num, 1))  # lambda'' = n2 / z^3
+    rads = [2 * x * (n2(x) / x**m2) for x in xs]
+    if any(r == 0 for r in rads):
+        return None
+    _, roots = radical_tower(rads)
+    hs = [roots[i] / rads[i] for i in range(n)]
+    return {
+        "us": [num(x) / x for x in xs], "hs": hs,
+        "gammas": _rotations(n, lambda i, j: (
+            (xs[i] + xs[j]) * hs[i] * hs[j] / (xs[i] - xs[j]) ** 2)),
+        "xs": xs, "num": num, "shift": shift,
+        "eta": [Fraction(1) / r for r in rads],
+        "draw": ("Dn", n, xs, shift),
+    }
 
 
-def _sample_twodim(spec, rng):
+def _sample_twodim(spec, rng, precision):
     fld = RadicalField([Fraction(-1)])
     imag = fld.sqrt_gen(0)
     while True:
@@ -357,105 +366,71 @@ def _sample_twodim(spec, rng):
 # numeric samplers
 
 
-def _conditioning_ok(ys, extra=()):
-    spread = _spread(ys)
-    if spread == 0:
-        return False
-    cut = spread * mpmath.mpf("1e-3")
-    if _min_sep(ys) < cut:
-        return False
-    return all(abs(v) >= cut for v in extra)
-
-
-def _numeric_point(us, hs, gammas, extras, draw):
-    if _min_sep(us) == 0:
-        return None
-    out = {"us": us, "hs": hs, "gammas": gammas, "draw": draw}
-    out.update(extras)
-    return out
+def _e68_polys(ts, one):
+    """p(y) = sum t_k y^{nu-k}, q(y) = y^{nu+1} + sum t_{nu+k} y^{nu-k},
+    their derivatives and R = 3 q'^2 + p p'^2, for the 2 nu parameters
+    ``ts``; ``one`` is the unit of their scalar type."""
+    nu = len(ts) // 2
+    p = Poly(list(reversed(ts[:nu])))
+    q = Poly(list(reversed(ts[nu:])) + [0 * one, one])
+    pp, qp = p.deriv(), q.deriv()
+    return p, q, pp, qp, 3 * (qp * qp) + p * (pp * pp)
 
 
 def _sample_e68(spec, rng, precision):
-    nu = spec.n // 2
-    for _ in range(MAX_RESAMPLE):
-        draws = [_rand_mpc(rng) for _ in range(2 * nu)]
-        if draws[0] == (0, 0):
-            continue
-        ts = [_to_mpc(d) for d in draws]
-        # p(y) = sum t_k y^{nu-k}, q(y) = y^{nu+1} + sum t_{nu+k} y^{nu-k}
-        p = Poly(list(reversed(ts[:nu])))
-        q = Poly(list(reversed(ts[nu:])) + [mpmath.mpf(0), mpmath.mpf(1)])
-        pp, qp = p.deriv(), q.deriv()
-        big_r = 3 * (qp * qp) + p * (pp * pp)
-        try:
-            ys = poly_roots(big_r, precision)
-        except Exception:
-            continue
-        if not _conditioning_ok(ys, [pp(y) for y in ys]):
-            continue
-        rp = big_r.deriv()
-        xs = [-qp(y) / pp(y) for y in ys]
-        eta = [-pp(y) / rp(y) for y in ys]
-        if any(v == 0 for v in eta):
-            continue
-        hs = [mpmath.sqrt(v) for v in eta]
-        us = [x**3 + p(y) * x + q(y) for x, y in zip(xs, ys)]
-        gammas = {}
-        for i in range(spec.n):
-            for j in range(i + 1, spec.n):
-                gammas[(i + 1, j + 1)] = (
-                    3 * hs[i] * hs[j] * (xs[i] + xs[j]) / (ys[i] - ys[j]) ** 2
-                )
-        out = _numeric_point(us, hs, gammas,
-                             {"ys": ys, "xs": xs, "eta": eta,
-                              "p": p, "q": q, "R": big_r},
-                             (spec.kind, draws))
-        if out is not None:
-            return out
-    raise DegenerateSample(spec.label)
+    draws = [_rand_mpc(rng) for _ in range(spec.n)]
+    if draws[0] == (0, 0):
+        return None
+    p, q, pp, qp, big_r = _e68_polys([_to_mpc(d) for d in draws], mpmath.mpf(1))
+    ys = _roots(big_r, precision, pp)
+    if ys is None:
+        return None
+    rp = big_r.deriv()
+    xs = [-qp(y) / pp(y) for y in ys]
+    eta = [-pp(y) / rp(y) for y in ys]
+    if any(v == 0 for v in eta):
+        return None
+    hs = [mpmath.sqrt(v) for v in eta]
+    return {
+        "us": [x**3 + p(y) * x + q(y) for x, y in zip(xs, ys)], "hs": hs,
+        "gammas": _rotations(spec.n, lambda i, j: (
+            3 * hs[i] * hs[j] * (xs[i] + xs[j]) / (ys[i] - ys[j]) ** 2)),
+        "draw": (spec.kind, draws),
+        "ys": ys, "xs": xs, "eta": eta, "p": p, "q": q, "R": big_r,
+    }
 
 
 def _sample_e7(spec, rng, precision):
-    for _ in range(MAX_RESAMPLE):
-        draws = [_rand_mpc(rng) for _ in range(7)]
-        if draws[0] == (0, 0):
-            continue
-        t = [_to_mpc(d) for d in draws]
-        p = Poly([t[1], t[0]])
-        q = Poly([t[3], t[2], mpmath.mpf(0), mpmath.mpf(1)])
-        r = Poly([t[6], t[5], t[4]])
-        pp, qp, rp_ = p.deriv(), q.deriv(), r.deriv()
-        big_p = 2 * (p * pp) - 3 * qp
-        big_q = 3 * rp_ - pp * q
-        big_s = q * qp - 2 * (p * rp_)
-        big_r = big_q * big_q - big_p * big_s
-        try:
-            ys = poly_roots(big_r, precision)
-        except Exception:
-            continue
-        if not _conditioning_ok(ys, [big_p(y) for y in ys]):
-            continue
-        rd = big_r.deriv()
-        xs = [big_q(y) / big_p(y) for y in ys]
-        eta = [big_p(y) / rd(y) for y in ys]
-        if any(v == 0 for v in eta):
-            continue
-        hs = [mpmath.sqrt(v) for v in eta]
-        xt = [x + p(y) / 3 for x, y in zip(xs, ys)]
-        us = [x**3 + p(y) * x**2 + q(y) * x + r(y) for x, y in zip(xs, ys)]
-        gammas = {}
-        for i in range(7):
-            for j in range(i + 1, 7):
-                gammas[(i + 1, j + 1)] = (
-                    3 * hs[i] * hs[j] * (xt[i] + xt[j]) / (ys[i] - ys[j]) ** 2
-                )
-        out = _numeric_point(us, hs, gammas,
-                             {"ys": ys, "xs": xs, "eta": eta,
-                              "p": p, "q": q, "rpoly": r},
-                             ("E7", draws))
-        if out is not None:
-            return out
-    raise DegenerateSample(spec.label)
+    draws = [_rand_mpc(rng) for _ in range(7)]
+    if draws[0] == (0, 0):
+        return None
+    t = [_to_mpc(d) for d in draws]
+    p = Poly([t[1], t[0]])
+    q = Poly([t[3], t[2], mpmath.mpf(0), mpmath.mpf(1)])
+    r = Poly([t[6], t[5], t[4]])
+    pp, qp, rp_ = p.deriv(), q.deriv(), r.deriv()
+    big_p = 2 * (p * pp) - 3 * qp
+    big_q = 3 * rp_ - pp * q
+    big_s = q * qp - 2 * (p * rp_)
+    big_r = big_q * big_q - big_p * big_s
+    ys = _roots(big_r, precision, big_p)
+    if ys is None:
+        return None
+    rd = big_r.deriv()
+    xs = [big_q(y) / big_p(y) for y in ys]
+    eta = [big_p(y) / rd(y) for y in ys]
+    if any(v == 0 for v in eta):
+        return None
+    hs = [mpmath.sqrt(v) for v in eta]
+    xt = [x + p(y) / 3 for x, y in zip(xs, ys)]
+    return {
+        "us": [x**3 + p(y) * x**2 + q(y) * x + r(y) for x, y in zip(xs, ys)],
+        "hs": hs,
+        "gammas": _rotations(7, lambda i, j: (
+            3 * hs[i] * hs[j] * (xt[i] + xt[j]) / (ys[i] - ys[j]) ** 2)),
+        "draw": ("E7", draws),
+        "ys": ys, "xs": xs, "eta": eta, "p": p, "q": q, "rpoly": r,
+    }
 
 
 def _apq_numerator(pdeg, qdeg, a, b, tn, tn1):
@@ -476,47 +451,34 @@ def _apq_numerator(pdeg, qdeg, a, b, tn, tn1):
 
 def _sample_apq(spec, rng, precision):
     pdeg, qdeg = spec.p, spec.q
-    for _ in range(MAX_RESAMPLE):
-        a = {k: _to_mpc(_rand_mpc(rng)) for k in range(1, pdeg)}
-        b = {k: _to_mpc(_rand_mpc(rng)) for k in range(1, qdeg)}
-        adraw = sorted((k, _fracpair(v)) for k, v in a.items())
-        bdraw = sorted((k, _fracpair(v)) for k, v in b.items())
-        tn_draw = _rand_mpc(rng)
-        if tn_draw == (0, 0):
-            continue
-        tn = _to_mpc(tn_draw)
-        tn1_draw = _rand_mpc(rng)
-        tn1 = _to_mpc(tn1_draw)
-        num = _apq_numerator(pdeg, qdeg, a, b, tn, tn1)
-        zpoly = Poly([mpmath.mpf(0), mpmath.mpf(1)])
-        n1 = num.deriv() * zpoly - qdeg * num        # lambda' = n1 / z^(q+1)
-        n2 = n1.deriv() * zpoly - (qdeg + 1) * n1    # lambda'' = n2 / z^(q+2)
-        try:
-            zs = poly_roots(n1, precision)
-        except Exception:
-            continue
-        if not _conditioning_ok(zs, zs):
-            continue
-        lam2 = [n2(z) / z ** (qdeg + 2) for z in zs]
-        eta_up = [-z * z * l2 for z, l2 in zip(zs, lam2)]
-        if any(v == 0 for v in eta_up):
-            continue
-        hs = [1 / mpmath.sqrt(v) for v in eta_up]
-        us = [num(z) / z**qdeg for z in zs]
-        gammas = {}
-        for i in range(spec.n):
-            for j in range(i + 1, spec.n):
-                gammas[(i + 1, j + 1)] = (
-                    -hs[i] * hs[j] * zs[i] * zs[j] / (zs[i] - zs[j]) ** 2
-                )
-        out = _numeric_point(us, hs, gammas,
-                             {"zs": zs, "eta": [1 / v for v in eta_up],
-                              "a": a, "b": b, "tn": tn, "tn1": tn1},
-                             ("Apq", pdeg, qdeg, adraw, bdraw,
-                              tn_draw, tn1_draw))
-        if out is not None:
-            return out
-    raise DegenerateSample(spec.label)
+    a = {k: _to_mpc(_rand_mpc(rng)) for k in range(1, pdeg)}
+    b = {k: _to_mpc(_rand_mpc(rng)) for k in range(1, qdeg)}
+    adraw = sorted((k, _fracpair(v)) for k, v in a.items())
+    bdraw = sorted((k, _fracpair(v)) for k, v in b.items())
+    tn_draw = _rand_mpc(rng)
+    if tn_draw == (0, 0):
+        return None
+    tn = _to_mpc(tn_draw)
+    tn1_draw = _rand_mpc(rng)
+    tn1 = _to_mpc(tn1_draw)
+    num = _apq_numerator(pdeg, qdeg, a, b, tn, tn1)
+    n1, m1 = _laurent_deriv(num, qdeg)  # lambda' = n1 / z^(q+1)
+    n2, m2 = _laurent_deriv(n1, m1)     # lambda'' = n2 / z^(q+2)
+    zs = _roots(n1, precision, lambda z: z)
+    if zs is None:
+        return None
+    eta_up = [-z * z * (n2(z) / z**m2) for z in zs]
+    if any(v == 0 for v in eta_up):
+        return None
+    hs = [1 / mpmath.sqrt(v) for v in eta_up]
+    return {
+        "us": [num(z) / z**qdeg for z in zs], "hs": hs,
+        "gammas": _rotations(spec.n, lambda i, j: (
+            -hs[i] * hs[j] * zs[i] * zs[j] / (zs[i] - zs[j]) ** 2)),
+        "draw": ("Apq", pdeg, qdeg, adraw, bdraw, tn_draw, tn1_draw),
+        "zs": zs, "eta": [1 / v for v in eta_up],
+        "a": a, "b": b, "tn": tn, "tn1": tn1,
+    }
 
 
 def _fracpair(v):
@@ -525,75 +487,62 @@ def _fracpair(v):
 
 def _sample_dr(spec, rng, precision):
     r = spec.r
-    for _ in range(MAX_RESAMPLE):
-        cdraw = [_rand_mpc(rng) for _ in range(r + 1)]
-        if cdraw[-1] == (0, 0):
-            continue
-        t1_draw, t2_draw = _rand_mpc(rng), _rand_mpc(rng)
-        if t1_draw == (0, 0) or t2_draw == (0, 0):
-            continue
-        c = [_to_mpc(d) for d in cdraw]
-        t1, t2 = _to_mpc(t1_draw), _to_mpc(t2_draw)
-        den = Poly([mpmath.mpf(-4), mpmath.mpf(0), mpmath.mpf(1)])
-        num = Poly(c) * den + Poly([t1 * t1 + t2 * t2, t1 * t2])
-        n1, d1 = _rat_deriv(num, den)
-        try:
-            zs = poly_roots(Poly([x / n1.coeffs[-1] for x in n1.coeffs]),
-                            precision)
-        except Exception:
-            continue
-        if not _conditioning_ok(zs, [z * z - 4 for z in zs]):
-            continue
-        n2, d2 = _rat_deriv(n1, d1)
-        lam2 = [n2(z) / d2(z) for z in zs]
-        eta_up = [(4 - z * z) * l2 for z, l2 in zip(zs, lam2)]
-        if any(v == 0 for v in eta_up):
-            continue
-        hs = [1 / mpmath.sqrt(v) for v in eta_up]
-        us = [num(z) / (z * z - 4) for z in zs]
-        gammas = {}
-        for i in range(spec.n):
-            for j in range(i + 1, spec.n):
-                gammas[(i + 1, j + 1)] = (
-                    hs[i] * hs[j] * (4 - zs[i] * zs[j]) / (zs[i] - zs[j]) ** 2
-                )
-        out = _numeric_point(us, hs, gammas,
-                             {"zs": zs, "eta": [1 / v for v in eta_up],
-                              "c": c, "t1": t1, "t2": t2},
-                             ("Dr", r, cdraw, t1_draw, t2_draw))
-        if out is not None:
-            return out
-    raise DegenerateSample(spec.label)
+    cdraw = [_rand_mpc(rng) for _ in range(r + 1)]
+    if cdraw[-1] == (0, 0):
+        return None
+    t1_draw, t2_draw = _rand_mpc(rng), _rand_mpc(rng)
+    if t1_draw == (0, 0) or t2_draw == (0, 0):
+        return None
+    c = [_to_mpc(d) for d in cdraw]
+    t1, t2 = _to_mpc(t1_draw), _to_mpc(t2_draw)
+    den = Poly([mpmath.mpf(-4), mpmath.mpf(0), mpmath.mpf(1)])
+    num = Poly(c) * den + Poly([t1 * t1 + t2 * t2, t1 * t2])
+    n1, d1 = _rat_deriv(num, den)
+    zs = _roots(Poly([x / n1.coeffs[-1] for x in n1.coeffs]), precision,
+                lambda z: z * z - 4)
+    if zs is None:
+        return None
+    n2, d2 = _rat_deriv(n1, d1)
+    eta_up = [(4 - z * z) * (n2(z) / d2(z)) for z in zs]
+    if any(v == 0 for v in eta_up):
+        return None
+    hs = [1 / mpmath.sqrt(v) for v in eta_up]
+    return {
+        "us": [num(z) / (z * z - 4) for z in zs], "hs": hs,
+        "gammas": _rotations(spec.n, lambda i, j: (
+            hs[i] * hs[j] * (4 - zs[i] * zs[j]) / (zs[i] - zs[j]) ** 2)),
+        "draw": ("Dr", r, cdraw, t1_draw, t2_draw),
+        "zs": zs, "eta": [1 / v for v in eta_up],
+        "c": c, "t1": t1, "t2": t2,
+    }
 
 
 def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
-    """Draw a SamplePoint of the family; pure in (spec, seed, precision)."""
+    """Draw a SamplePoint of the family; pure in (spec, seed, precision).
+    A draw whose u_i are not distinct is degenerate like any other."""
     rng = random.Random("%s|%s" % (seed, spec.label))
     sampler = FAMILIES[spec.kind].sampler
-    if spec.exact:
-        data = sampler(spec, rng)
-        mode = "exact"
-    else:
-        with mpmath.workprec(precision + 64):
-            data = sampler(spec, rng, precision)
-        mode = "numeric"
-    jets = _random_jets(rng, spec.n)
-    point = SamplePoint(
-        n=spec.n,
-        us=data.pop("us"),
-        hs=data.pop("hs"),
-        gammas=data.pop("gammas"),
-        jets=jets,
+
+    def draw():
+        data = sampler(spec, rng, precision)
+        if data is not None and len(set(data["us"])) == spec.n:
+            return data
+        return None
+
+    with mpmath.workprec(precision + 64):
+        data = _redraw(draw, spec.label)
+    return SamplePoint(
+        n=spec.n, us=data.pop("us"), hs=data.pop("hs"), gammas=data.pop("gammas"),
+        jets=_random_jets(rng, spec.n),
         provenance={
             "family": spec.label,
             "seed": seed,
             "precision": precision,
-            "mode": mode,
+            "mode": "exact" if spec.exact else "numeric",
             "draw": data.pop("draw"),
         },
+        internal=data,  # what is left: the family's own parameters
     )
-    point.internal = data
-    return point
 
 
 # ---------------------------------------------------------------------------
@@ -733,17 +682,16 @@ def _res_str(val):
 # residue identity suites
 
 
-# Each ``*_residue_checks(spec, rng)`` draws fresh exact parameters and
-# returns the named pairs of values that must both vanish, and the draw.
+# Each ``*_residue_checks(spec, rng)`` is one draw of fresh exact
+# parameters: it returns the named pairs of values that must both vanish
+# and the draw, or None when the draw is degenerate.
 
 
 def _an_residue_checks(spec, rng):
     n = spec.n
-    while True:
-        zs = [random_rational(rng, 12) for _ in range(n - 1)]
-        zs.append(-sum(zs, Fraction(0)))
-        if len(set(zs)) == n:
-            break
+    zs = _an_zs(rng, n)
+    if zs is None:
+        return None
     lam1 = _monic_from_roots(zs, Fraction(n + 1))
     lam2 = lam1.deriv()
     lam4 = lam2.deriv().deriv()
@@ -766,17 +714,11 @@ def _an_residue_checks(spec, rng):
     return checks, zs
 
 
-def _laurent_deriv(num, m):
-    """d/dz of num(z)/z^m, returned as (numerator, m + 1)."""
-    zpoly = Poly([Fraction(0), Fraction(1)])
-    return num.deriv() * zpoly - m * num, m + 1
-
-
 def _dn_residue_checks(spec, rng):
     n = spec.n
-    xs = None
-    while xs is None:
-        xs = _dn_xs(rng, n)
+    xs = _dn_xs(rng, n)
+    if xs is None:
+        return None
     shift = random_rational(rng, 12)
     num = _dn_lambda(xs, n, shift)
     zpoly = Poly([Fraction(0), Fraction(1)])
@@ -823,32 +765,25 @@ def _dn_residue_checks(spec, rng):
 
 
 def _e6_g_parts(ts):
-    """p, q and the proof's meromorphic function g = gnum/gden."""
-    nu = len(ts) // 2
-    p = Poly(list(reversed(ts[:nu])))
-    q = Poly(list(reversed(ts[nu:])) + [Fraction(0), Fraction(1)])
-    pp, qp = p.deriv(), q.deriv()
-    big_r = 3 * (qp * qp) + p * (pp * pp)
+    """R and the proof's meromorphic function g = gnum/gden."""
+    _, _, pp, qp, big_r = _e68_polys(ts, Fraction(1))
     r1, r2, r3 = big_r.deriv(), big_r.deriv(2), big_r.deriv(3)
     half = Fraction(3, 2)
     gnum = (half * (pp * qp.deriv(2) + pp.deriv(2) * qp) * r1
             - half * (pp * qp.deriv() + pp.deriv() * qp) * r2
             + qp * r3 * pp)
     gden = pp * pp * big_r
-    return p, q, pp, gnum, gden
+    return big_r, gnum, gden
 
 
 def _e6_residue_checks(spec, rng):
-    while True:
-        ts = [random_rational(rng, 9) for _ in range(6)]
-        if ts[0] == 0:
-            continue
-        p, q, pp, gnum, gden = _e6_g_parts(ts)
-        y0 = -ts[1] / (2 * ts[0])
-        big_r = 3 * (q.deriv() * q.deriv()) + p * (pp * pp)
-        if big_r(y0) == 0:
-            continue
-        break
+    ts = [random_rational(rng, 9) for _ in range(6)]
+    if ts[0] == 0:
+        return None
+    big_r, gnum, gden = _e6_g_parts(ts)
+    y0 = -ts[1] / (2 * ts[0])
+    if big_r(y0) == 0:
+        return None
     at_inf = residue_at_infinity(gnum, gden)
     at_root = residue(gnum, gden, y0)
     want = Fraction(12) / ts[0]
@@ -859,24 +794,19 @@ def _e6_residue_checks(spec, rng):
 
 
 def _e8_residue_checks(spec, rng):
-    from .radicals import is_square_fraction
-
-    while True:
-        ts = [random_rational(rng, 9) for _ in range(8)]
-        if ts[0] == 0:
-            continue
-        disc = 4 * ts[1] ** 2 - 12 * ts[0] * ts[2]
-        if disc == 0 or is_square_fraction(disc):
-            continue
-        p, q, pp, gnum, gden = _e6_g_parts(ts)
-        fld = RadicalField([disc])
-        root = fld.sqrt_gen(0)
-        a1 = (fld.rational(-2 * ts[1]) + root) / (6 * ts[0])
-        a2 = (fld.rational(-2 * ts[1]) - root) / (6 * ts[0])
-        big_r = 3 * (q.deriv() * q.deriv()) + p * (pp * pp)
-        if (fld.rational(1) * big_r(a1)).is_zero():
-            continue
-        break
+    ts = [random_rational(rng, 9) for _ in range(8)]
+    if ts[0] == 0:
+        return None
+    disc = 4 * ts[1] ** 2 - 12 * ts[0] * ts[2]
+    if disc == 0 or is_square_fraction(disc):
+        return None
+    big_r, gnum, gden = _e6_g_parts(ts)
+    fld = RadicalField([disc])
+    root = fld.sqrt_gen(0)
+    a1 = (fld.rational(-2 * ts[1]) + root) / (6 * ts[0])
+    a2 = (fld.rational(-2 * ts[1]) - root) / (6 * ts[0])
+    if (fld.rational(1) * big_r(a1)).is_zero():
+        return None
     lift = lambda poly: Poly([fld.rational(c) for c in poly.coeffs])
     gnum_f, gden_f = lift(gnum), lift(gden)
     res1 = residue(gnum_f, gden_f, a1)
@@ -895,7 +825,8 @@ def _e8_residue_checks(spec, rng):
 
 def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
     """Re-run the printed residue computations on fresh exact parameter
-    draws; every check is an exact zero test."""
+    draws; every check is an exact zero test.  A degenerate draw is
+    redrawn like a degenerate sample point."""
     residue_checks = FAMILIES[spec.kind].residue_checks
     if residue_checks is None:
         raise ValueError("no residue suite for the %s family" % spec.label)
@@ -904,7 +835,7 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
     )
     rng = random.Random("%s|%s|residues" % (seed, spec.label))
     for _ in range(draws):
-        checks, draw = residue_checks(spec, rng)
+        checks, draw = _redraw(lambda: residue_checks(spec, rng), spec.label)
         digest = point_digest((spec.label, draw))
         for name, first, second in checks:
             ok = _is_exact_zero(first) and _is_exact_zero(second)
@@ -992,7 +923,7 @@ class Family:
     params: tuple  # the constructor's arguments, named as CLI options
     make: Callable  # the FamilySpec constructor
     label: str  # the spec label, formatted from the spec's fields
-    sampler: Callable  # (spec, rng), or (spec, rng, precision) when numeric
+    sampler: Callable  # (spec, rng, precision) -> one draw, None if degenerate
     exact: bool
     ade: bool = False  # the G-function gradient vanishes
     o_difference: Callable = lambda spec: Fraction(0)  # the closed-form O1 - O2

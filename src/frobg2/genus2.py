@@ -301,8 +301,12 @@ def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
 
     Solves sum_g a_g * graph(g) = f2_reference - g2_function at random
     exact points and checks the solution is consistent on the leftover
-    equations.  Raises if the sampled system stays singular.
+    equations.  Raises if the sampled system stays singular.  At n = 1
+    the sixteen contractions span only three dimensions, so n must be
+    at least 2.
     """
+    if n < 2:
+        raise ValueError("need n >= 2: the n = 1 system is singular")
     if samples < 32:
         raise ValueError("need at least 32 samples")
     alg = Algebra(n)

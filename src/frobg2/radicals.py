@@ -153,9 +153,6 @@ class RadicalElem:
     def is_rational(self):
         return all(m == 0 for m in self.coeffs)
 
-    def rational_part(self):
-        return self.coeffs.get(0, Fraction(0))
-
     def one(self):
         return self.field.one()
 
@@ -197,17 +194,14 @@ class RadicalElem:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return RadicalElem(self.field, out)
+        if type(other) is Fraction:
+            terms = ((0, other),) if other else ()
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            terms = other.coeffs.items()
+        return RadicalElem(self.field, _accumulate(dict(self.coeffs), terms))
 
     __radd__ = __add__
 
@@ -236,17 +230,10 @@ class RadicalElem:
             ((m1, c1),) = self.coeffs.items()
             ((m2, c2),) = other.coeffs.items()
             return RadicalElem(self.field, {m1 ^ m2: _shared(c1 * c2, m1 & m2, rads)})
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                c = _shared(c1 * c2, m1 & m2, rads)
-                m = m1 ^ m2
-                s = out.get(m, Fraction(0)) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return RadicalElem(self.field, out)
+        terms = ((m1 ^ m2, _shared(c1 * c2, m1 & m2, rads))
+                 for m1, c1 in self.coeffs.items()
+                 for m2, c2 in other.coeffs.items())
+        return RadicalElem(self.field, _accumulate({}, terms))
 
     __rmul__ = __mul__
 
@@ -302,6 +289,22 @@ class RadicalElem:
                     k += 1
                 acc += v
             return acc
+
+
+def _accumulate(out, terms):
+    """Add the (mask, coefficient) terms into ``out``: a new mask goes
+    last with its coefficient as is, a mask whose sum is zero is dropped."""
+    for m, c in terms:
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s += c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
 
 
 def _shared(c, common, rads):

@@ -53,6 +53,7 @@ class TestExitCodes:
             "dump-expr --what g2 --n 0",
             "dump-expr --what graph",
             "solve-coefficients --samples 5",
+            "solve-coefficients --n 1",
             "verify-g2 --family an --n 3 --points 0",
             "compute-odiff --family an --n 3 --points -1",
             "verify-residues --family e8 --draws 0",
@@ -63,9 +64,13 @@ class TestExitCodes:
             assert res.exit_code == 2, args
             assert res.stdout == "", args
 
-    def test_error_is_four(self, runner):
+    def test_error_is_four(self, runner, monkeypatch):
         # a singular sampled system is an error, not a failed identity
-        res = runner.invoke(main, ["solve-coefficients", "--n", "1"])
+        def singular(n, samples, seed):
+            raise RuntimeError("sampled linear system is singular or inconsistent")
+
+        monkeypatch.setattr("frobg2.cli.solve_coefficients", singular)
+        res = runner.invoke(main, ["solve-coefficients", "--n", "2"])
         assert res.exit_code == 4
         assert res.stdout == ""
         assert "singular or inconsistent" in res.stderr

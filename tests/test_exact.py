@@ -290,6 +290,18 @@ class TestRadicals:
                         out.pop(m1 ^ m2, None)
             return out
 
+        # the general sum: y's monomials added into a copy of x's in y's
+        # order, a new mask last, a cancelled one dropped
+        def general_add(x, y):
+            out = dict(x.coeffs)
+            for m, c in y.coeffs.items():
+                s = out.get(m, Fraction(0)) + c
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+            return out
+
         K = RadicalField([F(2), F(-3), F(5, 7)])
         rng = random.Random(11)
 
@@ -306,6 +318,16 @@ class TestRadicals:
             want = list(general(x, K.rational(q)).items())
             assert list((x * q).coeffs.items()) == want
             assert list((q * x).coeffs.items()) == want
+            assert list((x + y).coeffs.items()) == list(general_add(x, y).items())
+            assert list((x + (-x)).coeffs.items()) == []
+            want = list(general_add(x, K.rational(q)).items())
+            assert list((x + q).coeffs.items()) == want
+            assert list((q + x).coeffs.items()) == want
+            assert list((x + 2).coeffs.items()) == list(general_add(x, K.rational(2)).items())
+            # a sum that cancels the rational part drops mask 0
+            c0 = x.coeffs.get(0)
+            if c0 is not None:
+                assert 0 not in (x + (-c0)).coeffs
         # shared radicals, the negative one included: sqrt(-3)**2 = -3
         a = K.element({0b011: F(2, 3)})
         b = K.element({0b110: F(-5)})

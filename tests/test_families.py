@@ -11,6 +11,7 @@ Key oracles:
 * determinism: sampling is pure in (spec, seed, precision).
 """
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -19,7 +20,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobg2 import families
+from frobg2.exact import NonConvergenceError
 from frobg2.families import (
+    FAMILIES,
+    MAX_RESAMPLE,
+    DegenerateSample,
     FamilySpec,
     _residual_ok,
     closed_form_o_difference,
@@ -144,6 +150,66 @@ class TestPinnedSamples:
     def test_sample_digest(self, label, seed):
         spec = _PINNED_SPECS[label]
         assert _point_sha(sample(spec, seed=seed)) == PINNED_SAMPLES[label, seed]
+
+
+class TestDrawLoop:
+    @staticmethod
+    def _counting(monkeypatch, kind, field, result):
+        """Replace the family's sampler or residue checks by a draw that
+        always returns ``result``; returns the list of its calls."""
+        calls = []
+
+        def draw(*args):
+            calls.append(args)
+            return result
+
+        record = dataclasses.replace(FAMILIES[kind], **{field: draw})
+        monkeypatch.setitem(FAMILIES, kind, record)
+        return calls
+
+    @pytest.mark.parametrize("result", [
+        None,
+        # coincident u_i make a degenerate draw on every family
+        {"us": [Fraction(1)] * 3, "hs": [], "gammas": {}, "draw": ()},
+    ])
+    def test_sample_gives_up(self, monkeypatch, result):
+        calls = self._counting(monkeypatch, "An", "sampler", result)
+        with pytest.raises(DegenerateSample):
+            sample(FamilySpec.An(3), seed=1)
+        assert len(calls) == MAX_RESAMPLE
+
+    def test_residue_suite_gives_up(self, monkeypatch):
+        calls = self._counting(monkeypatch, "E6", "residue_checks", None)
+        with pytest.raises(DegenerateSample):
+            residue_identity_suite(FamilySpec.E6(), seed=1, draws=2)
+        assert len(calls) == MAX_RESAMPLE
+
+    def _patch_roots(self, monkeypatch, fail):
+        """poly_roots raising ``fail`` on its first call only."""
+        real = families.poly_roots
+        calls = []
+
+        def roots(poly, precision):
+            calls.append(poly)
+            if len(calls) == 1:
+                raise fail
+            return real(poly, precision)
+
+        monkeypatch.setattr(families, "poly_roots", roots)
+        return calls
+
+    def test_nonconvergence_redraws(self, monkeypatch):
+        spec = FamilySpec.E6()
+        plain = sample(spec, seed=3)  # one root-finder call at this seed
+        calls = self._patch_roots(monkeypatch, NonConvergenceError("forced"))
+        redrawn = sample(spec, seed=3)
+        assert len(calls) == 2
+        assert redrawn.digest() != plain.digest()
+
+    def test_other_errors_propagate(self, monkeypatch):
+        self._patch_roots(monkeypatch, RuntimeError("root finder bug"))
+        with pytest.raises(RuntimeError, match="root finder bug"):
+            sample(FamilySpec.E6(), seed=3)
 
 
 class TestODifference:

@@ -142,6 +142,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_coefficients(2, samples=8)
 
+    def test_rejects_one_coordinate(self):
+        # one coordinate: the sixteen contractions have rank 3
+        with pytest.raises(ValueError):
+            solve_coefficients(1)
+
 
 class TestRelation:
     @pytest.mark.parametrize("n", [2, 3])
