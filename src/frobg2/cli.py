@@ -61,6 +61,11 @@ def _family_spec(flag, params, needs=None):
     if missing:
         raise click.UsageError("%s required for the %s family"
                                % (" and ".join(missing), flag))
+    stray = ["--" + name for name, value in params.items()
+             if value is not None and name not in family.params]
+    if stray:
+        raise click.UsageError("the %s family takes no %s"
+                               % (flag, " or ".join(stray)))
     try:
         return family.make(*[params[name] for name in family.params])
     except (ValueError, ZeroDivisionError) as exc:

@@ -4,9 +4,11 @@ A :class:`DualGraph` is a connected multigraph whose vertices carry a
 genus label (0 or 1), with self-loops and per-vertex leg counts.  The
 contraction rules turn a graph into a differential-polynomial
 expression: a genus-0 vertex of valence m contributes the genus-zero
-m-point function, a genus-1 vertex the genus-one function, every edge
-carries the diagonal propagator weight 1/(h_j^2 u_{j,x}) with one
-shared summation index, and every leg a summation index of its own.
+m-point function, a genus-1 vertex the genus-one function, and every
+edge carries the diagonal propagator weight 1/(h_j^2 u_{j,x}) with one
+shared summation index.  A leg, summed over its index, acts on its
+vertex as a covariant x-derivative (see :func:`graph_function`), so a
+vertex is built from the correlator at its edge indices only.
 
 ``enumerate_admissible`` generates the canonical genus-two graph
 family from four structural properties: (1) stability and genus count
@@ -26,7 +28,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .expr import ZERO, add, mul
+from .expr import ZERO, add, jet, mul, neg
 from .correlators import CorrelatorTable
 
 
@@ -181,9 +183,29 @@ def canonicalize(g: DualGraph) -> DualGraph:
 # contraction into expressions
 
 
+def _connection(alg, s, k):
+    """A^s_k = sum_l Gamma^s_kl u_{l,x}, the connection term that a leg
+    summed over its index applies to the vertex index k."""
+    return add(*[mul(alg.christoffel(s, k, l), jet(l, 1)) for l in alg.indices()])
+
+
 def graph_function(g: DualGraph, table: CorrelatorTable):
-    """Sum over all index assignments of the correlator product."""
+    """The contraction of g: the sum over all edge index assignments of
+    the product of its vertex functions and edge weights.
+
+    A vertex function is the vertex correlator summed over the indices
+    of the vertex's legs.  Since sum_j Gamma^s_kj = 0, summing the
+    correlator recursion over one leg index turns its derivative terms
+    into the total x-derivative and cancels the Christoffel terms
+    between legs.  At sorted edge indices t with m legs this leaves
+
+        L(t, m) = d_x L(t, m-1) - sum_pos sum_s A^s_{t[pos]} L(t[pos->s], m-1)
+
+    with A^s_k from :func:`_connection` and L(t, 0) the correlator at t.
+    A tuple shorter than the recursion's base (3 for C, 1 for D) first
+    takes one leg as a plain index sum."""
     n = table.n
+    alg = table.alg
     incident = [[] for _ in range(g.n_vertices)]
     for eid, (a, b) in enumerate(g.edges):
         incident[a].append(eid)
@@ -198,25 +220,35 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
         if g.genera[v] == 1 and not 1 <= deg <= 3:
             raise ValueError("genus-1 vertex valence %d unsupported" % deg)
 
-    vertex_cache = {}
+    conn = {(s, k): _connection(alg, s, k)
+            for s in alg.indices() for k in alg.indices()}
+    sums = {}
 
-    def vertex_tensor(v, edge_idx):
-        """Sum over this vertex's leg indices, edges fixed."""
-        key = (v, edge_idx)
-        out = vertex_cache.get(key)
+    def leg_sum(genus, t, m):
+        """The genus-``genus`` vertex function at sorted edge indices t,
+        summed over every ordered index tuple of m legs."""
+        key = (genus, t, m)
+        out = sums.get(key)
         if out is not None:
             return out
-        corr = table.correlator_C if g.genera[v] == 0 else table.correlator_D
-        terms = []
-        for legs in combinations_with_replacement(range(1, n + 1), g.legs[v]):
-            t = tuple(sorted(edge_idx + legs))
-            e = corr(t)
-            if e is ZERO:
-                continue
-            mult = _perm_count(legs)
-            terms.append(mul(_const(mult), e) if mult != 1 else e)
-        out = add(*terms) if terms else ZERO
-        vertex_cache[key] = out
+        if m == 0:
+            out = table.correlator_C(t) if genus == 0 else table.correlator_D(t)
+        elif len(t) < (3 if genus == 0 else 1):
+            out = add(*[leg_sum(genus, tuple(sorted(t + (l,))), m - 1)
+                        for l in alg.indices()])
+        else:
+            terms = [alg.total_x(leg_sum(genus, t, m - 1))]
+            for pos, k in enumerate(t):
+                for s in alg.indices():
+                    a = conn[s, k]
+                    if a is ZERO:
+                        continue
+                    moved = tuple(sorted(t[:pos] + (s,) + t[pos + 1:]))
+                    rest = leg_sum(genus, moved, m - 1)
+                    if rest is not ZERO:
+                        terms.append(neg(mul(a, rest)))
+            out = add(*terms)
+        sums[key] = out
         return out
 
     total = []
@@ -224,8 +256,8 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
         factors = []
         dead = False
         for v in range(g.n_vertices):
-            edge_idx = tuple(assign[eid] for eid in incident[v])
-            tv = vertex_tensor(v, tuple(sorted(edge_idx)))
+            edge_idx = tuple(sorted(assign[eid] for eid in incident[v]))
+            tv = leg_sum(g.genera[v], edge_idx, g.legs[v])
             if tv is ZERO:
                 dead = True
                 break
@@ -236,28 +268,6 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
             factors.append(table.edge_weight(assign[eid]))
         total.append(mul(*factors))
     return add(*total) if total else ZERO
-
-
-def _perm_count(sorted_tuple):
-    """Number of distinct orderings of a sorted tuple."""
-    from math import factorial
-
-    out = factorial(len(sorted_tuple))
-    run = 1
-    for i in range(1, len(sorted_tuple)):
-        if sorted_tuple[i] == sorted_tuple[i - 1]:
-            run += 1
-        else:
-            out //= factorial(run)
-            run = 1
-    out //= factorial(run)
-    return out
-
-
-def _const(k):
-    from .expr import const
-
-    return const(k)
 
 
 def graph_x_derivative(g: DualGraph):

@@ -5,17 +5,29 @@ sources of truth: the published closed forms of the boundary entries
 (Q1 as a 6-point sum with two propagators, Q16 as a product of
 genus-one entries), the x-derivative identities that link the P/O
 graphs to the Q family, and the closed form of the O1 - O2 difference,
-which depends on (u, h, gamma) only.
+which depends on (u, h, gamma) only.  The covariant leg rule of
+``graph_function`` is checked against the plain leg loop it replaced.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import factorial
 
+import mpmath
 import pytest
 
+from frobg2 import families, genus2, graphs
 from frobg2.algebra import Algebra, random_context
 from frobg2.correlators import CorrelatorTable
-from frobg2.expr import ZERO, add, const, div, gamma, h, mul, pow_
+from frobg2.expr import ZERO, add, const, div, gamma, h, mul, pow_, sub
+from frobg2.families import (
+    FamilySpec,
+    closed_form_o_difference,
+    o_difference_check,
+    relation_family_check,
+    sample,
+)
 from frobg2.graphs import (
     DualGraph,
     builtin,
@@ -26,6 +38,7 @@ from frobg2.graphs import (
     graph_x_derivative,
     smooth_subdividers,
 )
+from frobg2.report import DEFAULT_PRECISION, DEFAULT_SEED, relative_tolerance
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +255,128 @@ class TestODifference:
         jets2 = {k: v + Fraction(rng.randint(1, 50)) for k, v in ctx.jets.items()}
         ctx2 = EvalContext(2, ctx.us, ctx.hs, ctx.gammas, jets2)
         assert ctx2.evaluate(diff) == v1
+
+
+# ---------------------------------------------------------------------------
+# the covariant leg rule against the plain leg loop
+
+
+def _perm_count(t):
+    """Number of distinct orderings of the tuple t."""
+    out = factorial(len(t))
+    for k in set(t):
+        out //= factorial(t.count(k))
+    return out
+
+
+def leg_loop(g, table):
+    """graph_function as a plain leg loop: each vertex is summed over all
+    sorted leg index tuples, weighted by their number of orderings.  It
+    needs correlators of the full vertex valence, up to six indices."""
+    n = table.n
+    incident = [[] for _ in range(g.n_vertices)]
+    for eid, (a, b) in enumerate(g.edges):
+        incident[a].append(eid)
+        incident[b].append(eid)
+    vertex_cache = {}
+
+    def vertex_tensor(v, edge_idx):
+        key = (v, edge_idx)
+        if key not in vertex_cache:
+            corr = table.correlator_C if g.genera[v] == 0 else table.correlator_D
+            vertex_cache[key] = add(*[
+                mul(const(_perm_count(legs)), corr(tuple(sorted(edge_idx + legs))))
+                for legs in combinations_with_replacement(range(1, n + 1), g.legs[v])
+            ])
+        return vertex_cache[key]
+
+    total = []
+    for assign in product(range(1, n + 1), repeat=g.n_edges):
+        factors = [vertex_tensor(v, tuple(sorted(assign[e] for e in incident[v])))
+                   for v in range(g.n_vertices)]
+        factors += [table.edge_weight(assign[e]) for e in range(g.n_edges)]
+        total.append(mul(*factors))
+    return add(*total)
+
+
+def _headroom(expr, point, want, precision=DEFAULT_PRECISION):
+    """log2(tolerance * scale / |residual|) of ``expr - want`` at a
+    numeric family point, after checking that the residual passes."""
+    with mpmath.workprec(precision + 64):
+        ctx = point.context()
+        val = ctx.evaluate(expr) - want
+        assert families._residual_ok(val, precision, ctx.stats.max_mag)
+        if val == 0:
+            return mpmath.inf
+        bound = relative_tolerance(precision) * max(1.0, float(ctx.stats.max_mag))
+        return float(mpmath.log(bound / abs(val), 2))
+
+
+@pytest.fixture(scope="module")
+def both_rules():
+    """(graph_function, leg_loop) of a catalog graph at n, built once
+    per module on one CorrelatorTable per n."""
+    tables = {}
+    built = {}
+
+    def get(name, n):
+        if n not in tables:
+            tables[n] = CorrelatorTable(Algebra(n))
+        if (name, n) not in built:
+            g = builtin(name)
+            built[(name, n)] = (graph_function(g, tables[n]), leg_loop(g, tables[n]))
+        return built[(name, n)]
+
+    return get
+
+
+class TestLegRule:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_leg_loop_exactly(self, both_rules, n):
+        rng = random.Random(53 + n)
+        ctxs = [random_context(n, rng) for _ in range(2)]
+        for name in catalog_names():
+            new, old = both_rules(name, n)
+            for ctx in ctxs:
+                assert ctx.evaluate(new) == ctx.evaluate(old), name
+
+    def test_no_correlator_beyond_four_indices(self):
+        # the relation at n = 3 used to need all six-point correlators
+        t = CorrelatorTable(Algebra(3))
+        genus2.relation_expression(t.alg, t)
+        assert max(len(k) for k in t._c) <= 4
+
+    @pytest.mark.parametrize("spec", [FamilySpec.ApqOrbifold(2, 2),
+                                      FamilySpec.DrOrbifold(1)],
+                             ids=lambda s: s.label)
+    def test_numeric_headroom(self, both_rules, spec):
+        # a differently shaped DAG rounds differently; every residual
+        # must pass and keep its headroom to within 8 bits
+        relation = [[mul(const(c), f) for f in both_rules(name, spec.n)]
+                    for name, c in genus2.RELATION_WEIGHTS.items()]
+        o1, o2 = both_rules("O1", spec.n), both_rules("O2", spec.n)
+        want = closed_form_o_difference(spec)
+        pairs = [
+            (add(*[new for new, _ in relation]), add(*[old for _, old in relation]), 0),
+            (sub(o1[0], o2[0]), sub(o1[1], o2[1]), want),
+        ]
+        for k in range(2):
+            point = sample(spec, seed=DEFAULT_SEED + k)
+            for new, old, value in pairs:
+                assert _headroom(new, point, value) >= _headroom(old, point, value) - 8
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["as-is", "flipped"])
+    def test_connection_sign_gate(self, monkeypatch, sign):
+        # the gate can fail: with the sign of the Christoffel term of the
+        # leg rule flipped, the relation and O1 - O2 checks must fail
+        want = "pass" if sign > 0 else "fail"
+        connection = graphs._connection
+        monkeypatch.setattr(graphs, "_connection",
+                            lambda alg, s, k: mul(const(sign), connection(alg, s, k)))
+        # an explicit table bypasses the process-wide build cache
+        for name in ("relation_expression", "o_difference_graphs"):
+            monkeypatch.setattr(families, name,
+                                genus2._with_table(getattr(genus2, name)))
+        for spec in (FamilySpec.An(3), FamilySpec.ApqOrbifold(1, 2)):
+            assert relation_family_check(spec, points=1).verdict == want, spec.label
+        assert o_difference_check(FamilySpec.An(3), points=1).verdict == want
