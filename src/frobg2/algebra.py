@@ -43,7 +43,7 @@ from .expr import (
     u,
 )
 
-DEFAULT_MAX_JET = 4
+MAX_RESAMPLE = 200
 
 
 class Algebra:
@@ -172,6 +172,20 @@ class ResampleNeeded(Exception):
     """Exact evaluation hit a vanishing denominator; draw a new point."""
 
 
+class DegenerateSample(Exception):
+    """Every resampling attempt hit a degenerate configuration."""
+
+
+def redraw(draw, label):
+    """The first result of ``draw()`` that is not None; a degenerate
+    draw returns None and is redrawn, at most MAX_RESAMPLE times."""
+    for _ in range(MAX_RESAMPLE):
+        out = draw()
+        if out is not None:
+            return out
+    raise DegenerateSample(label)
+
+
 class EvalContext:
     """Assignment of scalars to the generators of one dimension-n point.
 
@@ -218,8 +232,21 @@ def random_rational(rng, bound=10**4):
     return Fraction(num, den)
 
 
-def random_context(n, rng, max_jet=DEFAULT_MAX_JET, bound=100):
+def random_jets(rng, n, bound):
+    """Jets u_i^(p), p = 1..6, with every u_i,x nonzero."""
+    jets = {}
+    for i in range(1, n + 1):
+        for p in range(1, 7):
+            v = random_rational(rng, bound)
+            while p == 1 and v == 0:
+                v = random_rational(rng, bound)
+            jets[(i, p)] = v
+    return jets
+
+
+def random_context(n, rng):
     """Free-generator exact point: distinct u_i, nonzero u_i,x and h_i."""
+    bound = 100
     while True:
         us = [random_rational(rng, bound) for _ in range(n)]
         if len(set(us)) == n:
@@ -234,11 +261,4 @@ def random_context(n, rng, max_jet=DEFAULT_MAX_JET, bound=100):
     for i, j in product(range(1, n + 1), repeat=2):
         if i < j:
             gammas[(i, j)] = random_rational(rng, bound)
-    jets = {}
-    for i in range(1, n + 1):
-        for p in range(1, max_jet + 3):
-            v = random_rational(rng, bound)
-            while p == 1 and v == 0:
-                v = random_rational(rng, bound)
-            jets[(i, p)] = v
-    return EvalContext(n, us, hs, gammas, jets)
+    return EvalContext(n, us, hs, gammas, random_jets(rng, n, bound))

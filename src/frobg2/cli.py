@@ -4,8 +4,9 @@ Each verb runs one verification suite and streams its result as JSON
 lines: one object per trial, then a summary object.  Exit status 0
 means every trial passed, 1 means at least one failed, 2 is a usage
 error (click's default), 3 signals that a numeric computation did not
-converge or a family sampler could not produce a usable point, and 4
-is any other error, with its traceback on stderr.
+converge or that no usable point came out of ``MAX_RESAMPLE`` draws (a
+family point, a residue-suite draw or a generic exact point), and 4 is
+any other error, with its traceback on stderr.
 
 Reports are deterministic: the same command with the same seed writes
 byte-identical output.

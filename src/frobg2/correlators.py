@@ -15,6 +15,8 @@ Builds, for a fixed dimension n:
 * ``g_gradient(i)`` -- the G-function gradient, in its direct form and
   in the equivalent Christoffel form (their pointwise equality is a
   test);
+* ``h_function(alg, i)`` -- the tau-gradient part of ``g_gradient``,
+  which the genus-two correction term also uses;
 * ``edge_weight(j)`` -- 1/(h_j^2 u_{j,x}), the weight a propagator edge
   contributes after contraction to canonical indices.
 
@@ -30,6 +32,16 @@ from .expr import ZERO, add, const, div, h, jet, mul, neg, pow_, sub, u, gamma
 
 C_MIN, C_MAX = 3, 6
 D_MAX = 3
+
+
+def h_function(alg, i):
+    """The tau-gradient function 1/2 sum_{j != i} (u_i - u_j) gamma_ij^2."""
+    terms = [
+        mul(const("1/2"), sub(u(i), u(j)), pow_(gamma(i, j), 2))
+        for j in alg.indices()
+        if j != i
+    ]
+    return add(*terms) if terms else ZERO
 
 
 class CorrelatorTable:
@@ -167,15 +179,11 @@ class CorrelatorTable:
         out = self._g_grad.get(i)
         if out is not None:
             return out
-        terms = []
-        for j in self.alg.indices():
-            if j == i:
-                continue
-            terms.append(mul(const("1/2"), sub(u(i), u(j)), pow_(gamma(i, j), 2)))
-            terms.append(
-                mul(const("-1/24"), gamma(i, j), sub(div(h(i), h(j)), div(h(j), h(i))))
-            )
-        out = add(*terms) if terms else ZERO
+        out = add(h_function(self.alg, i), *[
+            mul(const("-1/24"), gamma(i, j), sub(div(h(i), h(j)), div(h(j), h(i))))
+            for j in self.alg.indices()
+            if j != i
+        ])
         self._g_grad[i] = out
         return out
 

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import mpmath
 
-DEFAULT_PRECISION = 256
+from .report import DEFAULT_PRECISION
+
 MAX_POLE_ORDER = 8
 
 
@@ -130,13 +131,9 @@ class Poly:
                 cs[i] = cs[i] + a * cs[i + 1]
         return Poly(cs)
 
-    def reversed(self, degree=None):
-        """Coefficient reversal x^d p(1/x); pads with zeros up to degree."""
-        d = self.degree if degree is None else degree
-        out = [self.coeffs[0] * 0] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return Poly(out)
+    def reversed(self):
+        """Coefficient reversal x^d p(1/x), d the degree of p."""
+        return Poly(self.coeffs[::-1])
 
     def monic(self):
         lead = self.coeffs[-1]
@@ -265,7 +262,7 @@ def residue(num, den, location, exact=True, tol=None):
     return acc
 
 
-def residue_at_infinity(num, den, exact=True):
+def residue_at_infinity(num, den):
     """Residue at infinity: minus the z^{-1} coefficient of num/den."""
     dn, dd = num.degree, den.degree
     if dn < 0:
@@ -366,7 +363,7 @@ def _to_mpc(c):
     return mpmath.mpc(c)
 
 
-def poly_roots(p, precision=DEFAULT_PRECISION, maxiter=400):
+def poly_roots(p, precision=DEFAULT_PRECISION):
     """All complex roots of p, sorted by (real, imaginary) part.
 
     Aberth-Ehrlich iteration at working precision 2*precision with
@@ -402,7 +399,7 @@ def poly_roots(p, precision=DEFAULT_PRECISION, maxiter=400):
             return sum(abs(horner(mono, r)) for r in rs) / scale
 
         ok = False
-        for _ in range(maxiter):
+        for _ in range(400):
             moved = mpmath.mpf(0)
             for k in range(n):
                 z = roots[k]

@@ -9,8 +9,10 @@ a square-root extension of the rationals; the exceptional and orbifold
 families go through high-precision complex root finding.
 
 Each sampler, like each residue check, is one draw that returns None
-when the draw is degenerate.  One bounded loop, ``_redraw``, redraws
-it up to ``MAX_RESAMPLE`` times and then raises ``DegenerateSample``.
+when the draw is degenerate.  One bounded loop, ``algebra.redraw``,
+redraws it up to ``MAX_RESAMPLE`` times and then raises
+``DegenerateSample``; the generic exact points of ``genus2`` go through
+the same loop.
 A root finder that does not converge makes a degenerate draw; any
 other error propagates.
 
@@ -34,7 +36,16 @@ from typing import Callable, Optional
 
 import mpmath
 
-from .algebra import Algebra, EvalContext, random_rational
+# MAX_RESAMPLE and DegenerateSample stay importable from here for callers
+from .algebra import (
+    MAX_RESAMPLE,
+    Algebra,
+    DegenerateSample,
+    EvalContext,
+    random_jets,
+    random_rational,
+    redraw,
+)
 from .correlators import CorrelatorTable
 from .exact import NonConvergenceError, Poly, poly_roots, residue, residue_at_infinity
 from .genus2 import g2_function, o_difference_graphs, relation_expression
@@ -46,13 +57,6 @@ from .report import (
     point_digest,
     relative_tolerance,
 )
-
-MAX_RESAMPLE = 200
-
-
-class DegenerateSample(Exception):
-    """Every resampling attempt hit a degenerate configuration."""
-
 
 # ---------------------------------------------------------------------------
 # specs and sample points
@@ -173,28 +177,7 @@ def _scalar_json(v, prec):
 
 
 # ---------------------------------------------------------------------------
-# the draw loop and shared sampling helpers
-
-
-def _redraw(draw, label):
-    """The first result of ``draw()`` that is not None; a degenerate
-    draw returns None and is redrawn, at most MAX_RESAMPLE times."""
-    for _ in range(MAX_RESAMPLE):
-        out = draw()
-        if out is not None:
-            return out
-    raise DegenerateSample(label)
-
-
-def _random_jets(rng, n, bound=50, orders=6):
-    jets = {}
-    for i in range(1, n + 1):
-        for p in range(1, orders + 1):
-            v = random_rational(rng, bound)
-            while p == 1 and v == 0:
-                v = random_rational(rng, bound)
-            jets[(i, p)] = v
-    return jets
+# shared sampling helpers
 
 
 def _antiderivative(p):
@@ -530,10 +513,10 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
         return None
 
     with mpmath.workprec(precision + 64):
-        data = _redraw(draw, spec.label)
+        data = redraw(draw, spec.label)
     return SamplePoint(
         n=spec.n, us=data.pop("us"), hs=data.pop("hs"), gammas=data.pop("gammas"),
-        jets=_random_jets(rng, spec.n),
+        jets=random_jets(rng, spec.n, 50),
         provenance={
             "family": spec.label,
             "seed": seed,
@@ -835,7 +818,7 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
     )
     rng = random.Random("%s|%s|residues" % (seed, spec.label))
     for _ in range(draws):
-        checks, draw = _redraw(lambda: residue_checks(spec, rng), spec.label)
+        checks, draw = redraw(lambda: residue_checks(spec, rng), spec.label)
         digest = point_digest((spec.label, draw))
         for name, first, second in checks:
             ok = _is_exact_zero(first) and _is_exact_zero(second)

@@ -13,8 +13,7 @@ contractions satisfy on the distinguished families.
 Building a DAG costs more than evaluating it, so ``f2_reference``,
 ``g2_function``, ``decomposition_residual``, ``relation_expression`` and
 ``o_difference_graphs`` build each DAG once per (kind, n) and keep it
-for the life of the process; a call with an explicit ``table`` builds
-afresh.
+for the life of the process.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import Algebra, EvalContext, ResampleNeeded, random_context
-from .correlators import CorrelatorTable
+from .algebra import Algebra, EvalContext, ResampleNeeded, random_context, redraw
+from .correlators import CorrelatorTable, h_function
 from .expr import ZERO, add, const, gamma, h, jet, mul, neg, pow_, sub, u
 from .graphs import builtin, graph_function
 from .report import DEFAULT_SEED, VerificationReport, point_digest
@@ -50,8 +49,6 @@ CONSTANTS = {
     "Q16": Fraction(7, 10),
 }
 
-MAX_RESAMPLE = 25
-
 
 def _load(name):
     with resources.files("frobg2.data").joinpath(name).open() as fh:
@@ -66,37 +63,27 @@ _G2_DATA = _load("g2_terms.json")
 # term-table interpretation
 
 
-def h_function(alg, i):
-    """The tau-gradient function 1/2 sum_{j != i} (u_i - u_j) gamma_ij^2."""
-    terms = [
-        mul(const("1/2"), sub(u(i), u(j)), pow_(gamma(i, j), 2))
-        for j in alg.indices()
-        if j != i
-    ]
-    return add(*terms) if terms else ZERO
+# the factor kinds derived from the generators, built from their indices
+# and memoized per builder under (kind, *indices)
+_DERIVED = {
+    "H": h_function,
+    "dh": lambda alg, i: alg.partial_u(h(i), i),
+    "dxh": lambda alg, i: alg.total_x(h(i)),
+    "dg": lambda alg, a, b, c: alg.partial_u(gamma(a, b), c),
+    "dxg": lambda alg, a, b: alg.total_x(gamma(a, b)),
+    "dginvh": lambda alg, k, i: alg.partial_u(mul(gamma(i, k), pow_(h(k), -1)), k),
+    "dgh": lambda alg, i, l: alg.partial_u(mul(h(i), gamma(i, l)), i),
+}
 
 
 class _TableBuilder:
     def __init__(self, alg):
         self.alg = alg
-        self._h_fn = {}
-        self._dh = {}
-        self._dxh = {}
-        self._dg = {}
-        self._dxg = {}
-        self._dginvh = {}
-        self._dgh = {}
-
-    def _memo(self, store, key, make):
-        out = store.get(key)
-        if out is None:
-            out = store[key] = make()
-        return out
+        self._derived = {}
 
     def factor(self, rec, tup):
         kind = rec[0]
         exp = rec[-1]
-        alg = self.alg
         if kind == "du":
             base = sub(u(tup[rec[1]]), u(tup[rec[2]]))
         elif kind == "V":
@@ -108,35 +95,6 @@ class _TableBuilder:
             base = h(tup[rec[1]])
         elif kind == "g":
             base = gamma(tup[rec[1]], tup[rec[2]])
-        elif kind == "H":
-            i = tup[rec[1]]
-            base = self._memo(self._h_fn, i, lambda: h_function(alg, i))
-        elif kind == "dh":
-            i = tup[rec[1]]
-            base = self._memo(self._dh, i, lambda: alg.partial_u(h(i), i))
-        elif kind == "dxh":
-            i = tup[rec[1]]
-            base = self._memo(self._dxh, i, lambda: alg.total_x(h(i)))
-        elif kind == "dg":
-            a, b, c = tup[rec[1]], tup[rec[2]], tup[rec[3]]
-            base = self._memo(
-                self._dg, (a, b, c), lambda: alg.partial_u(gamma(a, b), c)
-            )
-        elif kind == "dxg":
-            a, b = tup[rec[1]], tup[rec[2]]
-            base = self._memo(self._dxg, (a, b), lambda: alg.total_x(gamma(a, b)))
-        elif kind == "dginvh":
-            k, i = tup[rec[1]], tup[rec[2]]
-            base = self._memo(
-                self._dginvh,
-                (k, i),
-                lambda: alg.partial_u(mul(gamma(i, k), pow_(h(k), -1)), k),
-            )
-        elif kind == "dgh":
-            i, l = tup[rec[1]], tup[rec[2]]
-            base = self._memo(
-                self._dgh, (i, l), lambda: alg.partial_u(mul(h(i), gamma(i, l)), i)
-            )
         elif kind == "poly":
             parts = []
             for coeff, factors in rec[1]:
@@ -146,7 +104,13 @@ class _TableBuilder:
                 parts.append(mul(*fs))
             base = add(*parts) if parts else ZERO
         else:
-            raise ValueError("unknown factor kind %r" % kind)
+            make = _DERIVED.get(kind)
+            if make is None:
+                raise ValueError("unknown factor kind %r" % kind)
+            key = (kind,) + tuple(tup[slot] for slot in rec[1:-1])
+            base = self._derived.get(key)
+            if base is None:
+                base = self._derived[key] = make(self.alg, *key[1:])
         return pow_(base, exp)
 
     def term(self, term, tup):
@@ -208,11 +172,6 @@ def _build_once(kind, n, build):
     return out
 
 
-def _with_table(build):
-    """``build(alg, table)`` as a builder for ``_build_once``."""
-    return lambda alg: build(alg, CorrelatorTable(alg))
-
-
 def f2_reference(alg):
     """The reference genus-two free energy over free generators."""
     return _build_once("f2", alg.n, lambda a: _TableBuilder(a).table(_F2_DATA, ()))
@@ -250,16 +209,14 @@ def _g2_build(alg):
 # identity checks
 
 
-def decomposition_residual(alg, table=None):
+def decomposition_residual(alg):
     """f2_reference minus the sixteen-graph combination minus the
-    correction term; identically zero in the free generators.  Without
-    an explicit ``table`` the DAG is built once per n."""
-    if table is None:
-        return _build_once("decomposition", alg.n, _with_table(_decomposition))
-    return _decomposition(alg, table)
+    correction term; identically zero in the free generators."""
+    return _build_once("decomposition", alg.n, _decomposition)
 
 
-def _decomposition(alg, table):
+def _decomposition(alg):
+    table = CorrelatorTable(alg)
     parts = [f2_reference(alg), neg(g2_function(alg))]
     for name, c in CONSTANTS.items():
         if c == 0:
@@ -268,32 +225,29 @@ def _decomposition(alg, table):
     return add(*parts)
 
 
-def _exact_trials(report, expression, n, trials, seed):
-    rng = random.Random(seed)
-    done = 0
-    attempts = 0
-    while done < trials:
-        if attempts > trials * MAX_RESAMPLE:
-            raise RuntimeError("too many degenerate sample points")
-        attempts += 1
+def _generic_point(n, rng, expressions):
+    """A random exact point and the values of ``expressions`` there; a
+    point where one of them hits a vanishing denominator is redrawn."""
+    def draw():
         ctx = random_context(n, rng)
         try:
-            val = ctx.evaluate(expression)
+            return ctx, [ctx.evaluate(e) for e in expressions]
         except ResampleNeeded:
-            continue
-        ok = val == 0
-        digest = point_digest((ctx.us, ctx.hs, sorted(ctx.gammas.items()),
-                               sorted(ctx.jets.items())))
-        report.add_trial(digest, str(val), ok)
-        done += 1
-    return report
+            return None
+
+    return redraw(draw, "generic point, n=%d" % n)
 
 
 def check_decomposition(n, trials=20, seed=DEFAULT_SEED):
-    alg = Algebra(n)
-    res = decomposition_residual(alg)
+    res = decomposition_residual(Algebra(n))
     report = VerificationReport(command="verify-decomposition", n=n, seed=seed)
-    return _exact_trials(report, res, n, trials, seed)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        ctx, (val,) = _generic_point(n, rng, [res])
+        digest = point_digest((ctx.us, ctx.hs, sorted(ctx.gammas.items()),
+                               sorted(ctx.jets.items())))
+        report.add_trial(digest, str(val), val == 0)
+    return report
 
 
 def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
@@ -317,19 +271,10 @@ def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
     rng = random.Random(seed)
     rows = []
     rhs = []
-    attempts = 0
-    while len(rows) < samples:
-        if attempts > samples * MAX_RESAMPLE:
-            raise RuntimeError("too many degenerate sample points")
-        attempts += 1
-        ctx = random_context(alg.n, rng)
-        try:
-            row = [ctx.evaluate(c) for c in cols]
-            b = ctx.evaluate(target)
-        except ResampleNeeded:
-            continue
-        rows.append(row)
-        rhs.append(b)
+    for _ in range(samples):
+        _, values = _generic_point(n, rng, cols + [target])
+        rows.append(values[:-1])
+        rhs.append(values[-1])
     sol = _solve_overdetermined(rows, rhs)
     if sol is None:
         raise RuntimeError("sampled linear system is singular or inconsistent")
@@ -364,12 +309,9 @@ def _solve_overdetermined(rows, rhs):
 # the linear relation among the contractions
 
 
-def relation_expression(alg, table=None):
-    """(Q1-Q6) + 2(Q7-Q5) + 3(Q8-Q2) + 4(Q9-Q3) + 6(Q4+Q10-Q11-Q12).
-    Without an explicit ``table`` the DAG is built once per n."""
-    if table is None:
-        return _build_once("relation", alg.n, _with_table(_relation))
-    return _relation(alg, table)
+def relation_expression(alg):
+    """(Q1-Q6) + 2(Q7-Q5) + 3(Q8-Q2) + 4(Q9-Q3) + 6(Q4+Q10-Q11-Q12)."""
+    return _build_once("relation", alg.n, _relation)
 
 
 RELATION_WEIGHTS = {
@@ -378,8 +320,8 @@ RELATION_WEIGHTS = {
 }
 
 
-def _relation(alg, table):
-    return graph_combination(alg, RELATION_WEIGHTS, table)
+def _relation(alg):
+    return graph_combination(alg, RELATION_WEIGHTS)
 
 
 def o_difference_closed_form(alg):
@@ -399,28 +341,24 @@ def o_difference_closed_form(alg):
     return add(*terms) if terms else ZERO
 
 
-def o_difference_graphs(alg, table=None):
-    """The contraction O1 - O2.  Without an explicit ``table`` the DAG is
-    built once per n."""
-    if table is None:
-        return _build_once("odiff", alg.n, _with_table(_o_difference))
-    return _o_difference(alg, table)
+def o_difference_graphs(alg):
+    """The contraction O1 - O2."""
+    return _build_once("odiff", alg.n, _o_difference)
 
 
-def _o_difference(alg, table):
+def _o_difference(alg):
+    table = CorrelatorTable(alg)
     return sub(
         graph_function(builtin("O1"), table),
         graph_function(builtin("O2"), table),
     )
 
 
-def relation_cross_check(alg, table=None):
+def relation_cross_check(alg):
     """relation_expression minus d_x^2 of (O1 - O2); identically zero."""
-    if table is None:
-        table = CorrelatorTable(alg)
     return sub(
-        relation_expression(alg, table),
-        alg.total_x(alg.total_x(o_difference_graphs(alg, table))),
+        relation_expression(alg),
+        alg.total_x(alg.total_x(o_difference_graphs(alg))),
     )
 
 
@@ -442,10 +380,9 @@ A1_ORBIFOLD_WEIGHTS = dict(
 )
 
 
-def graph_combination(alg, weights, table=None):
+def graph_combination(alg, weights):
     """Weighted sum of catalog contractions, weights keyed by name."""
-    if table is None:
-        table = CorrelatorTable(alg)
+    table = CorrelatorTable(alg)
     return add(
         *[
             mul(const(c), graph_function(builtin(nm), table))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 
 from .expr import ZERO, add, jet, mul, neg
@@ -290,10 +291,12 @@ def graph_x_derivative(g: DualGraph):
 # enumeration
 
 
+@cache
 def enumerate_admissible():
     """All canonical genus-two graphs satisfying properties 1-4, up to
-    the subdivision equivalence.  Genus labels are restricted to {0, 1}
-    since only those vertices have contraction rules."""
+    the subdivision equivalence, as a frozenset computed once per
+    process.  Genus labels are restricted to {0, 1} since only those
+    vertices have contraction rules."""
     found = set()
     for b1 in (0, 1, 2):
         n_g1 = 2 - b1
@@ -323,7 +326,7 @@ def enumerate_admissible():
                             continue
                         found.add(canonicalize(g))
     # subdivision may map two raw graphs to one class; keep fixpoints only
-    return {g for g in found if _admissible(g, g.first_betti())}
+    return frozenset(g for g in found if _admissible(g, g.first_betti()))
 
 
 def _admissible(g: DualGraph, b1):
@@ -355,15 +358,15 @@ def _admissible(g: DualGraph, b1):
 # (Q11, Q12) and (Q13, Q14) are not distinguished by those identities
 # and carry the assignment that reproduces the published constants.
 
-_CATALOG_RAW = {
+_CATALOG = {name: DualGraph.make(*raw) for name, raw in {
     # one genus-0 vertex, two self-loops, two legs
     "Q1": ([0], [(0, 0), (0, 0)], [2]),
     # triple edge, legs 1 and 2
     "Q2": ([0, 0], [(0, 1)] * 3, [1, 2]),
     # self-loop plus double edge; loop vertex one leg, other two legs
     "Q3": ([0, 0], [(0, 0), (0, 1), (0, 1)], [1, 2]),
-    # triple edge with one edge subdivided; outer legs 1 and 1
-    "Q4": ([0, 0, 2], None, None),  # placeholder, built below
+    # triple edge with one edge subdivided (vertex 2); outer legs 1 and 1
+    "Q4": ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [1, 1, 2]),
     # self-loop plus double edge; legs 0 and 3
     "Q5": ([0, 0], [(0, 0), (0, 1), (0, 1)], [0, 3]),
     # triple edge, legs 3 and 0
@@ -371,12 +374,15 @@ _CATALOG_RAW = {
     # two double edges sharing a middle vertex of valence 4
     "Q7": ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (0, 2)], [0, 2, 2]),
     # triple edge with one edge subdivided; legs 1 (subdivider 3)
-    "Q8": (None, None, None),
+    "Q8": ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [1, 0, 3]),
     # self-loop vertex joined to two-leg vertices in a triangle
     "Q9": ([0, 0, 0], [(0, 0), (0, 1), (0, 2), (1, 2)], [0, 2, 2]),
-    "Q10": (None, None, None),
-    "Q11": (None, None, None),
-    "Q12": (None, None, None),
+    # triple edge with one edge subdivided; outer legs 2 and 0
+    "Q10": ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [2, 0, 2]),
+    # double edge plus a two-step path of subdividers
+    "Q11": ([0, 0, 0, 0], [(0, 1), (0, 1), (0, 2), (2, 3), (3, 1)], [1, 0, 2, 2]),
+    # double edge subdivided twice, one subdivider on each parallel edge
+    "Q12": ([0, 0, 0, 0], [(0, 2), (1, 2), (0, 3), (1, 3), (0, 1)], [1, 0, 2, 2]),
     # genus-1 vertex doubly joined to a two-leg genus-0 vertex
     "Q13": ([0, 1], [(0, 1), (0, 1)], [2, 0]),
     # genus-1 vertex with a self-loop and one leg
@@ -385,62 +391,31 @@ _CATALOG_RAW = {
     "Q15": ([0, 1], [(0, 0), (0, 1)], [1, 1]),
     # two genus-1 vertices joined by an edge, one leg
     "Q16": ([1, 1], [(0, 1)], [1, 0]),
-    # genus-0 vertex with two self-loops (O1 plus leg counts)
-    "O1": ([0], [(0, 0), (0, 0)], [0]),
+    # O1 plus one leg
     "P1": ([0], [(0, 0), (0, 0)], [1]),
     # O1 with one loop opened through a two-leg vertex
     "P2": ([0, 0], [(0, 0), (0, 1), (0, 1)], [0, 2]),
-    # triple edge, one leg
-    "O2": ([0, 0], [(0, 1)] * 3, [1, 0]),
+    "P3": ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [1, 0, 2]),
     "P4": ([0, 0], [(0, 1)] * 3, [2, 0]),
     "P5": ([0, 0], [(0, 1)] * 3, [1, 1]),
-    "P3": ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [1, 0, 2]),
-}
-
-# derived members: subdivided triple-edge family
-# vertices: 0 and 1 are the outer pair (double edge), 2 subdivides
-_SUBDIV = lambda l0, l1: ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [l0, l1, 2])
-_CATALOG_RAW["Q4"] = _SUBDIV(1, 1)
-_CATALOG_RAW["Q8"] = ([0, 0, 0], [(0, 1), (0, 1), (0, 2), (1, 2)], [1, 0, 3])
-_CATALOG_RAW["Q10"] = _SUBDIV(2, 0)
-# Q11: double edge plus a two-step path of subdividers
-_CATALOG_RAW["Q11"] = (
-    [0, 0, 0, 0],
-    [(0, 1), (0, 1), (0, 2), (2, 3), (3, 1)],
-    [1, 0, 2, 2],
-)
-# Q12: double edge subdivided twice, one subdivider on each parallel edge
-_CATALOG_RAW["Q12"] = (
-    [0, 0, 0, 0],
-    [(0, 2), (1, 2), (0, 3), (1, 3), (0, 1)],
-    [1, 0, 2, 2],
-)
-# W graphs of the seven-term two-dimensional formula; identified
-# operationally by coefficient solving on that family
-_CATALOG_RAW["W1"] = ([1], [(0, 0)], [1])
-_CATALOG_RAW["W2"] = ([0, 1], [(0, 1), (0, 1)], [2, 0])
-_CATALOG_RAW["W3"] = ([0, 1], [(0, 0), (0, 1)], [1, 1])
-
-_catalog_cache = {}
+    # genus-0 vertex with two self-loops, no legs
+    "O1": ([0], [(0, 0), (0, 0)], [0]),
+    # triple edge, one leg
+    "O2": ([0, 0], [(0, 1)] * 3, [1, 0]),
+    # W graphs of the seven-term two-dimensional formula; identified
+    # operationally by coefficient solving on that family
+    "W1": ([1], [(0, 0)], [1]),
+    "W2": ([0, 1], [(0, 1), (0, 1)], [2, 0]),
+    "W3": ([0, 1], [(0, 0), (0, 1)], [1, 1]),
+}.items()}
 
 
 def builtin(name):
-    g = _catalog_cache.get(name)
-    if g is None:
-        try:
-            genera, edges, legs = _CATALOG_RAW[name]
-        except KeyError:
-            raise KeyError("unknown graph %r" % name) from None
-        g = DualGraph.make(genera, edges, legs)
-        _catalog_cache[name] = g
-    return g
+    try:
+        return _CATALOG[name]
+    except KeyError:
+        raise KeyError("unknown graph %r" % name) from None
 
 
 def catalog_names():
-    return ["Q%d" % i for i in range(1, 17)] + ["P%d" % i for i in range(1, 6)] + [
-        "O1",
-        "O2",
-        "W1",
-        "W2",
-        "W3",
-    ]
+    return list(_CATALOG)

@@ -72,5 +72,5 @@ class VerificationReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict())

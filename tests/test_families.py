@@ -18,9 +18,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from frobg2 import families
+from frobg2 import families, genus2
+from frobg2.algebra import ResampleNeeded
+from frobg2.cli import main
 from frobg2.exact import NonConvergenceError
 from frobg2.families import (
     FAMILIES,
@@ -210,6 +213,46 @@ class TestDrawLoop:
         self._patch_roots(monkeypatch, RuntimeError("root finder bug"))
         with pytest.raises(RuntimeError, match="root finder bug"):
             sample(FamilySpec.E6(), seed=3)
+
+    @staticmethod
+    def _degenerate_generic_points(monkeypatch):
+        """Every generic exact point of genus2 hits a vanishing
+        denominator; returns the list of points drawn."""
+        real = genus2.random_context
+        drawn = []
+
+        def draw(n, rng):
+            ctx = real(n, rng)
+            drawn.append(ctx)
+
+            def evaluate(e):
+                raise ResampleNeeded("forced")
+
+            ctx.evaluate = evaluate
+            return ctx
+
+        monkeypatch.setattr(genus2, "random_context", draw)
+        return drawn
+
+    def test_decomposition_gives_up(self, monkeypatch):
+        drawn = self._degenerate_generic_points(monkeypatch)
+        with pytest.raises(DegenerateSample):
+            genus2.check_decomposition(1, trials=3)
+        assert len(drawn) == MAX_RESAMPLE
+
+    def test_solve_gives_up(self, monkeypatch):
+        drawn = self._degenerate_generic_points(monkeypatch)
+        with pytest.raises(DegenerateSample):
+            genus2.solve_coefficients(2)
+        assert len(drawn) == MAX_RESAMPLE
+
+    def test_generic_give_up_exits_three(self, monkeypatch):
+        self._degenerate_generic_points(monkeypatch)
+        res = CliRunner().invoke(main, ["verify-decomposition", "--n", "1",
+                                        "--trials", "2"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert "non-convergent" in res.stderr
 
 
 class TestODifference:

@@ -94,12 +94,10 @@ class TestDecomposition:
 
     def test_sensitivity_to_one_constant(self, alg2):
         # shift the Q2 weight by 1/960 - 1/961 and the identity must break
-        table = CorrelatorTable(alg2)
-        res = decomposition_residual(alg2, table)
         bad = add(
-            res,
+            decomposition_residual(alg2),
             mul(const(Fraction(-1, 960) - Fraction(-1, 961)),
-                graph_function(builtin("Q2"), table)),
+                graph_function(builtin("Q2"), CorrelatorTable(alg2))),
         )
         rng = random.Random(41)
         hits = 0
@@ -186,8 +184,8 @@ class TestCombinations:
         assert set(A1_ORBIFOLD_WEIGHTS) - set(A2_WEIGHTS) == {"W1", "W2", "W3"}
 
     def test_combination_is_weighted_sum(self, alg2):
+        combo = graph_combination(alg2, A2_WEIGHTS)
         table = CorrelatorTable(alg2)
-        combo = graph_combination(alg2, A2_WEIGHTS, table)
         hand = add(
             *[
                 mul(const(c), graph_function(builtin(nm), table))
@@ -214,20 +212,6 @@ class TestBuildCache:
         monkeypatch.setattr(genus2, "CorrelatorTable", rebuilt)
         monkeypatch.setattr(genus2, "_TableBuilder", rebuilt)
         assert build(Algebra(2)) is first
-
-    def test_explicit_table_bypasses_cache(self, monkeypatch):
-        alg = Algebra(2)
-        cached = relation_expression(alg)
-        seen = []
-        contract = genus2.graph_function
-        monkeypatch.setattr(genus2, "graph_function",
-                            lambda g, t: seen.append(t) or contract(g, t))
-        assert relation_expression(alg) is cached
-        assert seen == []
-        table = CorrelatorTable(alg)
-        # hash-consing makes the fresh build the very same DAG
-        assert relation_expression(alg, table) is cached
-        assert len(seen) == 12 and all(t is table for t in seen)
 
     def test_repeated_suite_same_report(self):
         spec = FamilySpec.ApqOrbifold(2, 2)

@@ -67,6 +67,17 @@ class TestStructure:
     def test_enumeration_count(self, admissible):
         assert len(admissible) == 16
 
+    def test_enumeration_computed_once(self, admissible):
+        assert enumerate_admissible() is admissible
+        assert isinstance(admissible, frozenset)
+
+    def test_catalog_order_and_unknown_name(self):
+        assert catalog_names() == (["Q%d" % i for i in range(1, 17)]
+                                   + ["P%d" % i for i in range(1, 6)]
+                                   + ["O1", "O2", "W1", "W2", "W3"])
+        with pytest.raises(KeyError, match="unknown graph 'Z1'"):
+            builtin("Z1")
+
     def test_catalog_inside_enumeration(self, admissible):
         classes = {canonicalize(builtin("Q%d" % p)) for p in range(1, 17)}
         assert len(classes) == 16
@@ -343,7 +354,8 @@ class TestLegRule:
     def test_no_correlator_beyond_four_indices(self):
         # the relation at n = 3 used to need all six-point correlators
         t = CorrelatorTable(Algebra(3))
-        genus2.relation_expression(t.alg, t)
+        for name in genus2.RELATION_WEIGHTS:
+            graph_function(builtin(name), t)
         assert max(len(k) for k in t._c) <= 4
 
     @pytest.mark.parametrize("spec", [FamilySpec.ApqOrbifold(2, 2),
@@ -373,10 +385,8 @@ class TestLegRule:
         connection = graphs._connection
         monkeypatch.setattr(graphs, "_connection",
                             lambda alg, s, k: mul(const(sign), connection(alg, s, k)))
-        # an explicit table bypasses the process-wide build cache
-        for name in ("relation_expression", "o_difference_graphs"):
-            monkeypatch.setattr(families, name,
-                                genus2._with_table(getattr(genus2, name)))
+        # an empty build cache makes the suites build afresh
+        monkeypatch.setattr(genus2, "_built", {})
         for spec in (FamilySpec.An(3), FamilySpec.ApqOrbifold(1, 2)):
             assert relation_family_check(spec, points=1).verdict == want, spec.label
         assert o_difference_check(FamilySpec.An(3), points=1).verdict == want
