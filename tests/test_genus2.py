@@ -11,6 +11,7 @@ Key oracles:
   point (sensitivity control).
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ import pytest
 from frobg2 import genus2
 from frobg2.algebra import Algebra, EvalContext, random_context
 from frobg2.correlators import CorrelatorTable
-from frobg2.expr import add, const, h, jet, mul, neg, pow_
+from frobg2.expr import add, const, dump, h, jet, mul, neg, pow_
 from frobg2.families import FamilySpec, relation_family_check
 from frobg2.genus2 import (
     A1_ORBIFOLD_WEIGHTS,
@@ -217,3 +218,27 @@ class TestBuildCache:
         spec = FamilySpec.ApqOrbifold(2, 2)
         first = relation_family_check(spec, points=1).to_dict()
         assert relation_family_check(spec, points=1).to_dict() == first
+
+
+# sha256 of expr.dump for the DAGs the benchmark builds, recorded before
+# the term-table, sum and leg-sum builders stopped redoing work: a build
+# optimisation must leave every node, operand order and constant as it was
+PINNED_DAGS = [
+    (g2_function, 5, "1c725efb4bb9cdf2a49c9fb4a68b608b5880265829a65aa5f30f9f2b76a29aa6"),
+    (g2_function, 6, "b1b10496a9c9961e1bf19376b77e53b5c80bc9ad19a47e6b1a72fe2b56fe61d4"),
+    (g2_function, 7, "353f9c43e4fed246cc9e0817b746e643be095d3fae9f1c6932d865e0244da663"),
+    (relation_expression, 6,
+     "064f9b4c89c15d52df3e0722291d356471d57b34a99ba8f4fbc7292a8e05f133"),
+    (decomposition_residual, 3,
+     "8c4351391c6e9bf9afd8c67f48fb7b696fd4436198ee36b86e06ec27bf8d080d"),
+    (o_difference_graphs, 4,
+     "9846a4b20d6de9329f33083e3d99cb0645886761ad399966b8c6056ed42987e4"),
+]
+
+
+class TestPinnedDags:
+    @pytest.mark.parametrize("build,n,digest", PINNED_DAGS,
+                             ids=["%s-%d" % (b.__name__, n) for b, n, _ in PINNED_DAGS])
+    def test_dump_digest(self, build, n, digest):
+        text = dump(build(Algebra(n)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
