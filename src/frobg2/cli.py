@@ -286,6 +286,8 @@ def cmd_enumerate_graphs(emit, output):
 def cmd_dump_expr(what, name, n, output):
     """Write an expression as deterministic S-expression text."""
     alg = Algebra(n)
+    if what != "graph" and name is not None:
+        raise click.UsageError("--name is only taken with --what graph")
     if what == "graph":
         if name is None:
             raise click.UsageError("--name is required with --what graph")

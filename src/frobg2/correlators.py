@@ -52,6 +52,12 @@ class CorrelatorTable:
         self._c = {}
         self._d = {}
         self._g_grad = {}
+        self._edge = {}
+        # memos of graphs.graph_function: vertex leg sums under
+        # (genus, t, m) and the connection terms A^s_k under (s, k); on
+        # the table, every graph contracted on it shares them
+        self.leg_sums = {}
+        self.connections = {}
 
     # -- U coefficients ------------------------------------------------------
 
@@ -201,4 +207,7 @@ class CorrelatorTable:
         return add(*terms) if terms else ZERO
 
     def edge_weight(self, j):
-        return mul(pow_(h(j), -2), pow_(jet(j, 1), -1))
+        out = self._edge.get(j)
+        if out is None:
+            out = self._edge[j] = mul(pow_(h(j), -2), pow_(jet(j, 1), -1))
+        return out

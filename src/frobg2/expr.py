@@ -133,6 +133,9 @@ def _split(term):
 
 
 def add(*terms):
+    # base -> [coefficient, the addend as given, or None once a like
+    # term has combined with it]; an addend kept as given is the node
+    # that mul(const(c), base) would intern anyway
     acc = {}
     for t in terms:
         if t.op == OP_ADD:
@@ -145,16 +148,19 @@ def add(*terms):
                 continue
             prev = acc.get(base)
             if prev is None:
-                acc[base] = c
+                acc[base] = [c, it]
                 continue
-            s = prev + c
+            s = prev[0] + c
             if s:
-                acc[base] = s
+                prev[0] = s
+                prev[1] = None
             else:
                 del acc[base]
     out = []
-    for base, c in acc.items():
-        if base is ONE:
+    for base, (c, given) in acc.items():
+        if given is not None:
+            out.append(given)
+        elif base is ONE:
             out.append(const(c))
         elif c == 1:
             out.append(base)
@@ -169,36 +175,59 @@ def add(*terms):
 
 
 def mul(*factors):
+    # like add, a constant or power that nothing combined with is kept
+    # as given: cnode is the one constant factor, given[base] the one
+    # factor that brought base (None once a second one has)
     coeff = 1
+    cnode = None
     powers = {}
+    given = {}
     stack = list(factors)
     while stack:
         f = stack.pop()
-        if f.op == OP_CONST:
+        op = f.op
+        if op == OP_CONST:
             c = f.args[0]
             if not c:
                 return ZERO
             # coeff stays the int 1 until the first constant factor
-            coeff = c if type(coeff) is int else coeff * c
-        elif f.op == OP_MUL:
+            if type(coeff) is int:
+                coeff = c
+                cnode = f
+            else:
+                coeff = coeff * c
+                cnode = None
+            continue
+        if op == OP_MUL:
             stack.extend(f.args)
-        elif f.op == OP_POW:
-            powers[f.args[0]] = powers.get(f.args[0], 0) + f.args[1]
+            continue
+        if op == OP_POW:
+            base, k = f.args
         else:
-            powers[f] = powers.get(f, 0) + 1
+            base, k = f, 1
+        prev = powers.get(base)
+        if prev is None:
+            powers[base] = k
+            given[base] = f
+        else:
+            powers[base] = prev + k
+            given[base] = None
     out = []
     for base, k in powers.items():
         if k == 0:
             continue
-        if k == 1:
+        g = given[base]
+        if g is not None:
+            out.append(g)
+        elif k == 1:
             out.append(base)
         else:
             out.append(_mk(OP_POW, (base, k), (base.shash, k)))
     if not out:
-        return const(coeff)
+        return const(coeff) if cnode is None else cnode
     out.sort(key=_skey)
     if coeff != 1:
-        out.insert(0, const(coeff))
+        out.insert(0, const(coeff) if cnode is None else cnode)
     if len(out) == 1:
         return out[0]
     return _mk(OP_MUL, tuple(out), tuple(e.shash for e in out))

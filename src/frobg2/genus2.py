@@ -22,6 +22,8 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
+from itertools import product
+from operator import itemgetter
 
 from .algebra import Algebra, EvalContext, ResampleNeeded, random_context, redraw
 from .correlators import CorrelatorTable, h_function
@@ -64,7 +66,6 @@ _G2_DATA = _load("g2_terms.json")
 
 
 # the factor kinds derived from the generators, built from their indices
-# and memoized per builder under (kind, *indices)
 _DERIVED = {
     "H": h_function,
     "dh": lambda alg, i: alg.partial_u(h(i), i),
@@ -76,12 +77,42 @@ _DERIVED = {
 }
 
 
+def _slots(rec):
+    """The slot positions a factor record reads, in record order."""
+    kind = rec[0]
+    if kind == "poly":
+        out = []
+        for _, factors in rec[1]:
+            for f in factors:
+                out.extend(s for s in _slots(f) if s not in out)
+        return tuple(out)
+    if kind == "jet":
+        return (rec[1],)
+    return tuple(rec[1:-1])
+
+
+def _reader(slots):
+    """A function from an index tuple to the indices at ``slots``."""
+    if not slots:
+        return lambda tup: ()
+    return itemgetter(*slots)
+
+
 class _TableBuilder:
+    """Sums term tables over index tuples for one build.
+
+    Each term is compiled once per builder: its coefficient parsed, and
+    every factor record reduced to a key head plus the slots it reads.
+    A factor is then built once per (head, indices read) and looked up
+    at every other index tuple that resolves to the same indices.  The
+    memos live and die with the builder."""
+
     def __init__(self, alg):
         self.alg = alg
-        self._derived = {}
+        self._factors = {}
+        self._terms = {}  # id(term) -> (term, compiled term)
 
-    def factor(self, rec, tup):
+    def _make(self, rec, tup):
         kind = rec[0]
         exp = rec[-1]
         if kind == "du":
@@ -100,29 +131,56 @@ class _TableBuilder:
             for coeff, factors in rec[1]:
                 fs = [const(coeff)]
                 for f in factors:
-                    fs.append(self.factor(f, tup))
+                    fs.append(self._make(f, tup))
                 parts.append(mul(*fs))
             base = add(*parts) if parts else ZERO
         else:
             make = _DERIVED.get(kind)
             if make is None:
                 raise ValueError("unknown factor kind %r" % kind)
-            key = (kind,) + tuple(tup[slot] for slot in rec[1:-1])
-            base = self._derived.get(key)
-            if base is None:
-                base = self._derived[key] = make(self.alg, *key[1:])
+            base = make(self.alg, *[tup[slot] for slot in rec[1:-1]])
         return pow_(base, exp)
 
+    def _compile(self, term):
+        """The term's coefficient node, the slot pairs of its u_{ab}
+        denominators and, per factor record, (key head, reader, record).
+        Compiled once per builder; the term is kept with it, so its id
+        cannot be reused while the builder lives."""
+        hit = self._terms.get(id(term))
+        if hit is not None:
+            return hit
+        skip = [(rec[1], rec[2]) for rec in term["f"]
+                if rec[0] == "du" and rec[-1] < 0]
+        factors = []
+        for rec in term["f"]:
+            if rec[0] == "poly":
+                head = ("poly", json.dumps(rec))
+            elif rec[0] == "jet":
+                head = ("jet", rec[2], rec[3])
+            else:
+                head = (rec[0], rec[-1])
+            factors.append((head, _reader(_slots(rec)), rec))
+        out = self._terms[id(term)] = (term, const(Fraction(term["c"])), skip, factors)
+        return out
+
     def term(self, term, tup):
-        """One term at one index tuple, or None when a denominator
-        u_{ab} factor vanishes (that tuple is excluded from the sum)."""
-        for rec in term["f"]:
-            if rec[0] == "du" and rec[-1] < 0 and tup[rec[1]] == tup[rec[2]]:
+        """One term at one index tuple, or None when a u_{ab} denominator
+        vanishes (that tuple is excluded from the sum) or a factor is 0."""
+        _, coeff, skip, factors = self._compile(term)
+        for a, b in skip:
+            if tup[a] == tup[b]:
                 return None
-        factors = [const(Fraction(term["c"]))]
-        for rec in term["f"]:
-            factors.append(self.factor(rec, tup))
-        return mul(*factors)
+        memo = self._factors
+        out = [coeff]
+        for head, read, rec in factors:
+            key = (head, read(tup))
+            f = memo.get(key)
+            if f is None:
+                f = memo[key] = self._make(rec, tup)
+            if f is ZERO:
+                return None
+            out.append(f)
+        return mul(*out)
 
     def table(self, data, outer):
         """Sum the table's terms over their non-outer slots."""
@@ -132,25 +190,10 @@ class _TableBuilder:
             extra = term["s"] - len(outer)
             if extra < 0:
                 raise ValueError("term %r has fewer slots than the table" % term["id"])
-            if extra == 0:
-                e = self.term(term, outer)
+            for idx in product(range(1, n + 1), repeat=extra):
+                e = self.term(term, outer + idx)
                 if e is not None:
                     out.append(e)
-                continue
-            idx = [1] * extra
-            while True:
-                e = self.term(term, outer + tuple(idx))
-                if e is not None:
-                    out.append(e)
-                pos = extra - 1
-                while pos >= 0:
-                    idx[pos] += 1
-                    if idx[pos] <= n:
-                        break
-                    idx[pos] = 1
-                    pos -= 1
-                if pos < 0:
-                    break
         return add(*out) if out else ZERO
 
 

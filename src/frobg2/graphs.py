@@ -7,7 +7,7 @@ expression: a genus-0 vertex of valence m contributes the genus-zero
 m-point function, a genus-1 vertex the genus-one function, and every
 edge carries the diagonal propagator weight 1/(h_j^2 u_{j,x}) with one
 shared summation index.  A leg, summed over its index, acts on its
-vertex as a covariant x-derivative (see :func:`graph_function`), so a
+vertex as a covariant x-derivative (see :func:`_leg_sum`), so a
 vertex is built from the correlator at its edge indices only.
 
 ``enumerate_admissible`` generates the canonical genus-two graph
@@ -195,18 +195,9 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
     the product of its vertex functions and edge weights.
 
     A vertex function is the vertex correlator summed over the indices
-    of the vertex's legs.  Since sum_j Gamma^s_kj = 0, summing the
-    correlator recursion over one leg index turns its derivative terms
-    into the total x-derivative and cancels the Christoffel terms
-    between legs.  At sorted edge indices t with m legs this leaves
-
-        L(t, m) = d_x L(t, m-1) - sum_pos sum_s A^s_{t[pos]} L(t[pos->s], m-1)
-
-    with A^s_k from :func:`_connection` and L(t, 0) the correlator at t.
-    A tuple shorter than the recursion's base (3 for C, 1 for D) first
-    takes one leg as a plain index sum."""
+    of the vertex's legs; see :func:`_leg_sum`.  Its memo lives on the
+    table, so every graph contracted on one table shares it."""
     n = table.n
-    alg = table.alg
     incident = [[] for _ in range(g.n_vertices)]
     for eid, (a, b) in enumerate(g.edges):
         incident[a].append(eid)
@@ -221,54 +212,66 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
         if g.genera[v] == 1 and not 1 <= deg <= 3:
             raise ValueError("genus-1 vertex valence %d unsupported" % deg)
 
-    conn = {(s, k): _connection(alg, s, k)
-            for s in alg.indices() for k in alg.indices()}
-    sums = {}
-
-    def leg_sum(genus, t, m):
-        """The genus-``genus`` vertex function at sorted edge indices t,
-        summed over every ordered index tuple of m legs."""
-        key = (genus, t, m)
-        out = sums.get(key)
-        if out is not None:
-            return out
-        if m == 0:
-            out = table.correlator_C(t) if genus == 0 else table.correlator_D(t)
-        elif len(t) < (3 if genus == 0 else 1):
-            out = add(*[leg_sum(genus, tuple(sorted(t + (l,))), m - 1)
-                        for l in alg.indices()])
-        else:
-            terms = [alg.total_x(leg_sum(genus, t, m - 1))]
-            for pos, k in enumerate(t):
-                for s in alg.indices():
-                    a = conn[s, k]
-                    if a is ZERO:
-                        continue
-                    moved = tuple(sorted(t[:pos] + (s,) + t[pos + 1:]))
-                    rest = leg_sum(genus, moved, m - 1)
-                    if rest is not ZERO:
-                        terms.append(neg(mul(a, rest)))
-            out = add(*terms)
-        sums[key] = out
-        return out
-
     total = []
     for assign in product(range(1, n + 1), repeat=g.n_edges):
         factors = []
-        dead = False
         for v in range(g.n_vertices):
             edge_idx = tuple(sorted(assign[eid] for eid in incident[v]))
-            tv = leg_sum(g.genera[v], edge_idx, g.legs[v])
+            tv = _leg_sum(table, g.genera[v], edge_idx, g.legs[v])
             if tv is ZERO:
-                dead = True
                 break
             factors.append(tv)
-        if dead:
-            continue
-        for eid in range(g.n_edges):
-            factors.append(table.edge_weight(assign[eid]))
-        total.append(mul(*factors))
+        else:
+            for eid in range(g.n_edges):
+                factors.append(table.edge_weight(assign[eid]))
+            total.append(mul(*factors))
     return add(*total) if total else ZERO
+
+
+def _leg_sum(table, genus, t, m):
+    """The genus-``genus`` vertex function at sorted edge indices t,
+    summed over every ordered index tuple of m legs.
+
+    Since sum_j Gamma^s_kj = 0, summing the correlator recursion over
+    one leg index turns its derivative terms into the total
+    x-derivative and cancels the Christoffel terms between legs.  This
+    leaves
+
+        L(t, m) = d_x L(t, m-1) - sum_pos sum_s A^s_{t[pos]} L(t[pos->s], m-1)
+
+    with A^s_k from :func:`_connection` and L(t, 0) the correlator at t.
+    A tuple shorter than the recursion's base (3 for C, 1 for D) first
+    takes one leg as a plain index sum.  Results are memoized in
+    ``table.leg_sums`` under (genus, t, m)."""
+    sums = table.leg_sums
+    key = (genus, t, m)
+    out = sums.get(key)
+    if out is not None:
+        return out
+    alg = table.alg
+    if m == 0:
+        out = table.correlator_C(t) if genus == 0 else table.correlator_D(t)
+    elif len(t) < (3 if genus == 0 else 1):
+        out = add(*[_leg_sum(table, genus, tuple(sorted(t + (l,))), m - 1)
+                    for l in alg.indices()])
+    else:
+        conn = table.connections
+        if not conn:
+            conn.update(((s, k), _connection(alg, s, k))
+                        for s in alg.indices() for k in alg.indices())
+        terms = [alg.total_x(_leg_sum(table, genus, t, m - 1))]
+        for pos, k in enumerate(t):
+            for s in alg.indices():
+                a = conn[s, k]
+                if a is ZERO:
+                    continue
+                moved = tuple(sorted(t[:pos] + (s,) + t[pos + 1:]))
+                rest = _leg_sum(table, genus, moved, m - 1)
+                if rest is not ZERO:
+                    terms.append(neg(mul(a, rest)))
+        out = add(*terms)
+    sums[key] = out
+    return out
 
 
 def graph_x_derivative(g: DualGraph):

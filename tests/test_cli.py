@@ -52,6 +52,8 @@ class TestExitCodes:
             "verify-decomposition --n 0 --trials 1",
             "dump-expr --what g2 --n 0",
             "dump-expr --what graph",
+            "dump-expr --what f2 --name Q3",
+            "dump-expr --what relation --name Q3 --n 1",
             "solve-coefficients --samples 5",
             "solve-coefficients --n 1",
             "verify-g2 --family an --n 3 --points 0",

@@ -11,6 +11,7 @@ Key oracles:
   point (sensitivity control).
 """
 
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -242,3 +243,20 @@ class TestPinnedDags:
     def test_dump_digest(self, build, n, digest):
         text = dump(build(Algebra(n)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestTermTableGate:
+    @pytest.mark.parametrize("table", ["f2", "g2"])
+    @pytest.mark.parametrize("delta", [0, 1], ids=["as-is", "perturbed"])
+    def test_one_coefficient(self, monkeypatch, table, delta):
+        # the gate can fail: one term-table coefficient moved by delta
+        # breaks the decomposition, and a swapped-in copy of the data is
+        # read afresh, with no factor or coefficient memo left over
+        name = "_F2_DATA" if table == "f2" else "_G2_DATA"
+        data = copy.deepcopy(getattr(genus2, name))
+        term = (data if table == "f2" else data["Gi"])["terms"][0]
+        term["c"] = str(Fraction(term["c"]) + delta)
+        monkeypatch.setattr(genus2, name, data)
+        monkeypatch.setattr(genus2, "_built", {})
+        want = "fail" if delta else "pass"
+        assert check_decomposition(2, trials=2).verdict == want

@@ -390,3 +390,33 @@ class TestLegRule:
         for spec in (FamilySpec.An(3), FamilySpec.ApqOrbifold(1, 2)):
             assert relation_family_check(spec, points=1).verdict == want, spec.label
         assert o_difference_check(FamilySpec.An(3), points=1).verdict == want
+
+
+class TestSharedLegSums:
+    @pytest.mark.parametrize("order", ["catalog", "reversed"])
+    def test_shared_table_same_nodes(self, order):
+        # leg sums reused across graphs on one table must give every
+        # contraction exactly as a table of its own does
+        names = catalog_names()
+        if order == "reversed":
+            names = names[::-1]
+        shared = CorrelatorTable(Algebra(3))
+        for name in names:
+            got = graph_function(builtin(name), shared)
+            fresh = graph_function(builtin(name), CorrelatorTable(Algebra(3)))
+            assert got is fresh, name
+
+    def test_tables_share_no_memo(self):
+        t2, t3 = CorrelatorTable(Algebra(2)), CorrelatorTable(Algebra(3))
+        for name in catalog_names():
+            graph_function(builtin(name), t2)
+        assert t2.leg_sums and t2.connections
+        memos = [attr for attr, v in vars(t2).items() if isinstance(v, dict)]
+        for attr in memos:
+            assert getattr(t3, attr) == {}, attr
+            assert getattr(t3, attr) is not getattr(t2, attr), attr
+        for name in catalog_names():
+            graph_function(builtin(name), t3)
+        assert max(max(t, default=0) for _, t, _ in t2.leg_sums) == 2
+        assert max(max(t, default=0) for _, t, _ in t3.leg_sums) == 3
+        assert max(s for s, _ in t2.connections) == 2
