@@ -91,13 +91,6 @@ def _slots(rec):
     return tuple(rec[1:-1])
 
 
-def _reader(slots):
-    """A function from an index tuple to the indices at ``slots``."""
-    if not slots:
-        return lambda tup: ()
-    return itemgetter(*slots)
-
-
 class _TableBuilder:
     """Sums term tables over index tuples for one build.
 
@@ -159,7 +152,7 @@ class _TableBuilder:
                 head = ("jet", rec[2], rec[3])
             else:
                 head = (rec[0], rec[-1])
-            factors.append((head, _reader(_slots(rec)), rec))
+            factors.append((head, itemgetter(*_slots(rec)), rec))
         out = self._terms[id(term)] = (term, const(Fraction(term["c"])), skip, factors)
         return out
 
