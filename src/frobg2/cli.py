@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
+from functools import partial
 
 import click
 
@@ -73,12 +75,19 @@ def _family_spec(flag, params, needs=None):
         raise click.UsageError(str(exc))
 
 
-def _write(text, output):
+@contextmanager
+def _writer(output):
+    """A text writer to the file ``output``, or to stdout without one."""
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            yield fh.write
     else:
-        click.echo(text, nl=False)
+        yield partial(click.echo, nl=False)
+
+
+def _write(text, output):
+    with _writer(output) as write:
+        write(text)
 
 
 def _emit(report, output):
@@ -307,7 +316,9 @@ def cmd_dump_expr(what, name, n, output):
             from .graphs import graph_function
 
             expr = graph_function(graph, CorrelatorTable(alg))
-        _write(expr_dump(expr) + "\n", output)
+        with _writer(output) as write:
+            expr_dump(expr, write)
+            write("\n")
         return EXIT_PASS
 
     _guarded(body)

@@ -18,12 +18,14 @@ across processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, isinf
+from math import frexp, gcd, isinf
 from operator import attrgetter
 from weakref import WeakValueDictionary
 
 import mpmath
 from mpmath.libmp import fzero
+
+from .radicals import RadicalElem
 
 OP_CONST = 0
 OP_GEN = 1
@@ -416,9 +418,13 @@ def _converted(node, q, converted):
 def evaluate(e, gen_value, cache=None, stats=None):
     """Evaluate the DAG.  ``gen_value`` maps (kind, i, p) to a scalar,
     ``cache`` is a per-point memo shared across expressions.  With
-    ``stats`` (numeric points) the addend magnitudes are noted in it."""
+    ``stats`` (numeric points) the addend magnitudes are noted in it;
+    without, the exact kernel runs and ``cache`` holds kernel values
+    (see ``_evaluate_exact``), not scalars."""
     if cache is None:
         cache = {}
+    if stats is None:
+        return _from_kernel(_evaluate_exact(e, gen_value, cache))
     converted = {}
     for node in _postorder(e):
         if node in cache:
@@ -431,19 +437,151 @@ def evaluate(e, gen_value, cache=None, stats=None):
         elif op == OP_POW:
             b, k = node.args
             v = cache[b] ** k
-        elif stats is not None:
-            v = _fold(node, cache, stats, converted)
-        elif op == OP_ADD:
-            it = iter(node.args)
-            v = cache[next(it)]
-            for c in it:
-                v = v + cache[c]
         else:
+            v = _fold(node, cache, stats, converted)
+        cache[node] = v
+    return cache[e]
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation kernel
+#
+# A Fraction is held as (None, 0, num, den) and a RadicalElem of at most
+# one term as (field, mask, num, den), zero as (field, 0, 0, 1), with
+# gcd(num, den) == 1.  A negative power swaps num and den, so den may be
+# negative; Fraction() restores the sign on the way out.  A node's value
+# is formed on these integers and reduced by one gcd when the node is
+# finished.  Any other value (a RadicalElem of several terms, an int, an
+# mpmath number) stays the scalar it is, and a node that meets one, a
+# sum of two masks or a power of an irrational monomial is computed by
+# the scalars' own operators, left to right, exactly as the plain fold
+# does; so every value, type and coefficient order is the fold's.
+
+
+def _to_kernel(v):
+    t = type(v)
+    if t is Fraction:
+        return (None, 0, v.numerator, v.denominator)
+    if t is RadicalElem:
+        coeffs = v.coeffs
+        if not coeffs:
+            return (v.field, 0, 0, 1)
+        if len(coeffs) == 1:
+            ((m, c),) = coeffs.items()
+            return (v.field, m, c.numerator, c.denominator)
+    return v
+
+
+def _from_kernel(v):
+    if type(v) is not tuple:
+        return v
+    field, m, n, d = v
+    if field is None:
+        return Fraction(n, d)
+    return RadicalElem(field, {m: Fraction(n, d)} if n else {})
+
+
+def _by_operators(node, cache):
+    """The node's value by its operands' own scalar operators."""
+    if node.op == OP_POW:
+        b, k = node.args
+        return _to_kernel(_from_kernel(cache[b]) ** k)
+    it = iter(node.args)
+    v = _from_kernel(cache[next(it)])
+    if node.op == OP_ADD:
+        for c in it:
+            v = v + _from_kernel(cache[c])
+    else:
+        for c in it:
+            v = v * _from_kernel(cache[c])
+    return _to_kernel(v)
+
+
+def _shared_radicands(field, common, memo):
+    """(num, den) of the product of the radicands whose bits are set in
+    ``common``: the rational factor two monomials sharing them make."""
+    key = (field, common)
+    out = memo.get(key)
+    if out is None:
+        q = Fraction(1)
+        for k, r in enumerate(field.radicands):
+            if common >> k & 1:
+                q *= r
+        out = memo[key] = (q.numerator, q.denominator)
+    return out
+
+
+def _evaluate_exact(e, gen_value, cache):
+    """The kernel value of e; fills ``cache`` with kernel values."""
+    shared = {}
+    for node in _postorder(e):
+        if node in cache:
+            continue
+        op = node.op
+        if op == OP_CONST:
+            q = node.args[0]
+            cache[node] = (None, 0, q.numerator, q.denominator)
+            continue
+        if op == OP_GEN:
+            cache[node] = _to_kernel(gen_value(node.args))
+            continue
+        if op == OP_POW:
+            b, k = node.args
+            v = cache[b]
+            # a zero base to a negative power raises in the operators
+            if type(v) is tuple and not v[1] and (v[2] or k >= 0):
+                f, _, n, d = v
+                if k < 0:
+                    n, d, k = d, n, -k
+                cache[node] = (f, 0, n ** k, d ** k)
+                continue
+        else:
+            is_add = op == OP_ADD
             it = iter(node.args)
             v = cache[next(it)]
-            for c in it:
-                v = v * cache[c]
-        cache[node] = v
+            if type(v) is tuple:
+                f, m, n, d = v
+                for c in it:
+                    w = cache[c]
+                    if type(w) is not tuple:
+                        break
+                    g, m2, n2, d2 = w
+                    if g is not f:
+                        if f is None:
+                            f = g
+                        elif g is not None:
+                            break  # two fields: the operators raise
+                    if is_add:
+                        if m2 != m:
+                            if not n2:
+                                continue
+                            if n:
+                                break  # two masks: the coefficient order is the operators'
+                            m = m2
+                        if d2 == d:
+                            n += n2
+                        else:
+                            n = n * d2 + n2 * d
+                            d *= d2
+                    else:
+                        if m & m2:
+                            rn, rd = _shared_radicands(f, m & m2, shared)
+                            n *= rn
+                            d *= rd
+                        n *= n2
+                        d *= d2
+                        m ^= m2
+                else:
+                    if n:
+                        g = gcd(n, d)
+                        if g != 1:
+                            n //= g
+                            d //= g
+                        cache[node] = (f, m, n, d)
+                    else:
+                        cache[node] = (f, 0, 0, 1)
+                    continue
+        cache[node] = _by_operators(node, cache)
     return cache[e]
 
 
@@ -451,35 +589,58 @@ def evaluate(e, gen_value, cache=None, stats=None):
 # S-expression round-trip
 
 
-def dump(e):
-    """Deterministic S-expression text for the DAG."""
-    out = []
-    _dump(e, out)
-    return "".join(out)
+_CHUNK = 4096  # pieces of dump text joined into one write
 
 
-def _dump(e, out):
-    op = e.op
-    if op == OP_CONST:
-        out.append(str(e.args[0]))
-    elif op == OP_GEN:
-        kind, i, p = e.args
-        name = _GEN_NAMES[kind]
-        if kind in (GK_JET, GK_GAMMA):
-            out.append("%s%d.%d" % (name, i, p))
+def dump(e, write=None):
+    """Deterministic S-expression text for the DAG, written out as a
+    tree.  With ``write`` the text is passed to it in chunks, in order,
+    and nothing is returned; without, the text is returned."""
+    if write is None:
+        parts = []
+        dump(e, parts.append)
+        return "".join(parts)
+    leaves = {}
+    buf = []
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            buf.append(item)
         else:
-            out.append("%s%d" % (name, i))
-    elif op in (OP_ADD, OP_MUL):
-        out.append("(+ " if op == OP_ADD else "(* ")
-        for k, c in enumerate(e.args):
-            if k:
-                out.append(" ")
-            _dump(c, out)
-        out.append(")")
-    else:
-        out.append("(^ ")
-        _dump(e.args[0], out)
-        out.append(" %d)" % e.args[1])
+            op = item.op
+            if op == OP_ADD or op == OP_MUL:
+                buf.append("(+ " if op == OP_ADD else "(* ")
+                stack.append(")")
+                args = item.args
+                for k in range(len(args) - 1, 0, -1):
+                    stack.append(args[k])
+                    stack.append(" ")
+                stack.append(args[0])
+            elif op == OP_POW:
+                buf.append("(^ ")
+                stack.append(" %d)" % item.args[1])
+                stack.append(item.args[0])
+            else:
+                text = leaves.get(item)
+                if text is None:
+                    text = leaves[item] = _leaf_text(item)
+                buf.append(text)
+        if len(buf) >= _CHUNK:
+            write("".join(buf))
+            buf.clear()
+    if buf:
+        write("".join(buf))
+
+
+def _leaf_text(e):
+    if e.op == OP_CONST:
+        return str(e.args[0])
+    kind, i, p = e.args
+    name = _GEN_NAMES[kind]
+    if kind in (GK_JET, GK_GAMMA):
+        return "%s%d.%d" % (name, i, p)
+    return "%s%d" % (name, i)
 
 
 def parse(text):

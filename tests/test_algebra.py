@@ -53,6 +53,18 @@ class TestConstruction:
         assert parse(text) is e
         assert dump(parse(text)) == text
 
+    def test_dump_streams_deep_dags(self):
+        # nested deeper than the recursion limit, and longer than one chunk
+        e = u(1)
+        for k in range(3000):
+            e = add(mul(e, u(2)), u(k % 5 + 3))
+        chunks = []
+        dump(e, chunks.append)
+        assert len(chunks) > 1
+        text = "".join(chunks)
+        assert text == dump(e)
+        assert text.count("(+ ") == text.count("(* ") == 3000
+
 
 class TestRules:
     def test_dgamma_distinct(self, alg3):

@@ -1,6 +1,8 @@
 """Evaluation-kernel tests: numeric evaluation and its magnitude stats
 are bit-identical to the plain fold that takes ``float(abs())`` of every
-addend and lets mpmath convert a rational operand on every use."""
+addend and lets mpmath convert a rational operand on every use, and
+exact evaluation on integer numerator/denominator pairs gives the plain
+fold's values, types and radical coefficient order."""
 
 import random
 from fractions import Fraction
@@ -9,9 +11,18 @@ import mpmath
 import pytest
 
 from frobg2 import expr as ex
-from frobg2.algebra import Algebra
-from frobg2.families import FamilySpec, sample
-from frobg2.genus2 import g2_function, o_difference_graphs
+from frobg2.algebra import Algebra, EvalContext, ResampleNeeded, random_context
+from frobg2.correlators import CorrelatorTable
+from frobg2.families import FamilySpec, closed_form_o_difference, sample
+from frobg2.genus2 import (
+    decomposition_residual,
+    f2_reference,
+    g2_function,
+    o_difference_graphs,
+    relation_expression,
+)
+from frobg2.graphs import builtin, catalog_names, graph_function
+from frobg2.radicals import RadicalElem, RadicalField
 
 
 class _ReferenceStats:
@@ -31,7 +42,9 @@ class _ReferenceStats:
             self.max_mag = m
 
 
-def _reference_evaluate(e, gen_value, cache, stats):
+def _reference_evaluate(e, gen_value, cache, stats=None):
+    """The plain left-to-right fold over the scalars' own operators."""
+    note = stats.note if stats is not None else lambda v: None
     for node in ex._postorder(e):
         if node in cache:
             continue
@@ -43,10 +56,10 @@ def _reference_evaluate(e, gen_value, cache, stats):
         elif op == ex.OP_ADD:
             it = iter(node.args)
             v = cache[next(it)]
-            stats.note(v)
+            note(v)
             for c in it:
                 cv = cache[c]
-                stats.note(cv)
+                note(cv)
                 v = v + cv
         elif op == ex.OP_MUL:
             it = iter(node.args)
@@ -103,6 +116,128 @@ class TestNumericEvaluation:
             assert getattr(got, "_mpc_", getattr(got, "_mpf_", got)) == \
                 getattr(want, "_mpc_", getattr(want, "_mpf_", want))
             assert stats.max_mag == ref.max_mag
+
+
+def _assert_same(got, want):
+    """Same type, same value and, for a radical, the same coefficient order."""
+    assert type(got) is type(want)
+    if isinstance(want, mpmath.mpc):
+        assert got._mpc_ == want._mpc_
+    else:
+        assert got == want
+    if isinstance(want, RadicalElem):
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+def _check_exact(ctx, exprs):
+    """ctx.evaluate agrees with the plain fold on every expression, in
+    order, with both caches shared across the expressions; the values."""
+    ref_cache = {}
+    values = []
+    for e in exprs:
+        want = _reference_evaluate(e, ctx.gen_value, ref_cache)
+        _assert_same(ctx.evaluate(e), want)
+        values.append(want)
+    return values
+
+
+def _is_zero(v):
+    return v.is_zero() if isinstance(v, RadicalElem) else v == 0
+
+
+class TestExactEvaluation:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_points(self, n):
+        alg = Algebra(n)
+        table = CorrelatorTable(alg)
+        exprs = [decomposition_residual(alg), f2_reference(alg), g2_function(alg)]
+        exprs += [graph_function(builtin(name), table) for name in catalog_names()]
+        rng = random.Random(n)
+        for _ in range(2):
+            values = _check_exact(random_context(n, rng), exprs)
+            assert _is_zero(values[0])
+            assert sum(1 for v in values if not _is_zero(v)) > len(values) // 2
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec.An(3), FamilySpec.An(4), FamilySpec.An(5),
+        FamilySpec.Dn(4), FamilySpec.Dn(5),
+        FamilySpec.TwoDim(Fraction(1, 3)), FamilySpec.TwoDim(Fraction(1, 6)),
+    ], ids=lambda s: s.label)
+    def test_family_points(self, spec):
+        alg = Algebra(spec.n)
+        table = CorrelatorTable(alg)
+        o_diff = o_difference_graphs(alg)
+        want = closed_form_o_difference(spec)
+        # O1 and O2 alone are nonzero on the family
+        exprs = [g2_function(alg), relation_expression(alg), o_diff,
+                 ex.sub(o_diff, ex.const(want)),
+                 graph_function(builtin("O1"), table), graph_function(builtin("O2"), table)]
+        for seed in (1, 2):
+            ctx = sample(spec, seed=seed).context()
+            values = _check_exact(ctx, exprs)
+            assert _is_zero(values[3])
+            assert not _is_zero(values[4]) and not _is_zero(values[5])
+
+    def test_radical_cases(self, monkeypatch):
+        fld = RadicalField([2, 3])
+        r2, r3 = fld.sqrt_gen(0), fld.sqrt_gen(1)
+        values = {(ex.GK_U, 1, 0): r2 * Fraction(3, 4), (ex.GK_U, 2, 0): r3 * Fraction(-5, 2),
+                  (ex.GK_U, 3, 0): fld.rational(Fraction(7, 3)),
+                  (ex.GK_U, 4, 0): r2 * Fraction(-3, 4), (ex.GK_U, 5, 0): r2 * r3,
+                  (ex.GK_JET, 1, 1): Fraction(2, 9), (ex.GK_JET, 1, 2): Fraction(-4, 5)}
+        u1, u2, u3, u4, u5 = (ex.u(i) for i in range(1, 6))
+        j1, j2 = ex.jet(1, 1), ex.jet(1, 2)
+        fallback = [
+            ex.add(u1, u2),                       # sqrt2 + sqrt3 monomials
+            ex.add(u1, u2, u5, j1),               # four masks, in fold order
+            ex.add(u1, u3, u4, u2, j1),           # masks cancel, then reappear
+            ex.mul(ex.add(u1, u2), u5, j1),       # a two-term factor
+            ex.pow_(u1, -2),                      # irrational monomial to -2
+            ex.pow_(u5, 3),
+        ]
+        kernel = [
+            ex.mul(u1, u2, u5, j1),               # shared radicands
+            ex.add(u1, u4, j1),                   # sqrt2 cancels to a rational
+            ex.add(u1, u4),                       # zero in the field
+            ex.mul(ex.add(u1, u4), u2),
+            ex.pow_(u3, -3),
+            ex.add(ex.pow_(j2, -3), ex.mul(ex.pow_(j2, -1), u3), j1),
+            ex.add(ex.mul(u1, u4), j1, u3),
+        ]
+        calls = []
+        by_operators = ex._by_operators
+        monkeypatch.setattr(ex, "_by_operators",
+                            lambda node, cache: calls.append(node) or by_operators(node, cache))
+        for e in fallback + kernel:
+            calls.clear()
+            want = _reference_evaluate(e, values.__getitem__, {})
+            _assert_same(ex.evaluate(e, values.__getitem__), want)
+            assert bool(calls) == (e in fallback), e
+
+    def test_other_scalars(self):
+        x = mpmath.mpc(mpmath.mpf(1) / 3, mpmath.mpf(2) / 7)
+        values = {(ex.GK_U, 1, 0): 3, (ex.GK_U, 2, 0): -4, (ex.GK_U, 3, 0): x,
+                  (ex.GK_JET, 1, 1): Fraction(3, 7)}
+        u1, u2, u3, j1 = ex.u(1), ex.u(2), ex.u(3), ex.jet(1, 1)
+        exprs = [
+            ex.add(u1, u2), ex.mul(u1, u2), ex.pow_(u1, 3), ex.pow_(u2, -2),
+            ex.add(u1, j1), ex.mul(ex.const(Fraction(1, 3)), u1, u2),
+            ex.add(u3, j1, u1), ex.mul(u3, j1, ex.pow_(u3, -1)),
+        ]
+        for e in exprs:
+            with mpmath.workprec(200):
+                want = _reference_evaluate(e, values.__getitem__, {})
+                got = ex.evaluate(e, values.__getitem__)
+            _assert_same(got, want)
+
+    @pytest.mark.parametrize("zero", [Fraction(0), RadicalField([2]).zero()],
+                             ids=["Fraction", "RadicalElem"])
+    def test_zero_to_negative_power_resamples(self, zero):
+        ctx = EvalContext(1, [zero], [Fraction(1)], {}, {})
+        with pytest.raises(ResampleNeeded):
+            ctx.evaluate(ex.pow_(ex.u(1), -1))
+        with pytest.raises(ZeroDivisionError):
+            _reference_evaluate(ex.pow_(ex.u(1), -1), ctx.gen_value, {})
 
 
 def _random_part(rng):

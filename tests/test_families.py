@@ -337,6 +337,28 @@ class TestRelation:
         assert report.verdict == "pass"
 
 
+class TestExactPointGate:
+    @pytest.mark.parametrize("check", [g2_vanishing_check, relation_family_check],
+                             ids=["g2", "relation"])
+    @pytest.mark.parametrize("spec", [FamilySpec.An(4), FamilySpec.Dn(4)],
+                             ids=lambda s: s.label)
+    @pytest.mark.parametrize("delta", [0, Fraction(1, 2**100)], ids=["as-is", "perturbed"])
+    def test_one_gamma(self, monkeypatch, check, spec, delta):
+        # the exact gate can fail: gamma_12 of the sampled point moved by
+        # delta; it becomes a two-term radical, off the kernel's short path
+        def perturbed(spec, **kwargs):
+            point = sample(spec, **kwargs)
+            gammas = dict(point.gammas)
+            gammas[(1, 2)] = gammas[(1, 2)] + delta
+            if delta:
+                assert len(gammas[(1, 2)].coeffs) == 2
+            return dataclasses.replace(point, gammas=gammas)
+
+        monkeypatch.setattr(families, "sample", perturbed)
+        report = check(spec, points=1, seed=3)
+        assert report.verdict == ("fail" if delta else "pass")
+
+
 class TestResidualGate:
     def test_relative_tolerance(self):
         assert _residual_ok(mpmath.mpf(2) ** -130, 256)
