@@ -131,7 +131,8 @@ def _assert_same(got, want):
 
 def _check_exact(ctx, exprs):
     """ctx.evaluate agrees with the plain fold on every expression, in
-    order, with both caches shared across the expressions; the values."""
+    order, with both caches shared across the expressions; returns the
+    values."""
     ref_cache = {}
     values = []
     for e in exprs:
