@@ -2,13 +2,16 @@
 
 Univariate polynomials and rational functions over any field-like scalar
 type (``fractions.Fraction``, :class:`frobg2.radicals.RadicalElem`, or
-mpmath ``mpf``/``mpc``), plus the three analytic primitives the rest of
-the package leans on:
+mpmath ``mpf``/``mpc``), plus the primitives the rest of the package
+leans on:
 
 * ``poly_roots``   -- all complex roots at a requested bit precision,
 * ``residue``      -- residue of a rational function at a finite point
                       or at infinity (pole order up to 8),
-* ``resultant``    -- Sylvester resultant, exact over exact scalars.
+* ``resultant``    -- resultant by the Euclidean remainder sequence,
+                      exact over exact scalars,
+* ``row_reduce``   -- Gauss-Jordan elimination, the kernel's one linear
+                      solver.
 
 Root finding uses the Aberth-Ehrlich simultaneous iteration with
 deterministic starting points on a Cauchy-bound circle; if it stalls we
@@ -36,15 +39,6 @@ def _is_zero(c):
     if z is not None:
         return z()
     return c == 0
-
-
-def _one_like(c):
-    if isinstance(c, (Fraction, int)):
-        return Fraction(1)
-    one = getattr(c, "one", None)
-    if one is not None:
-        return one()
-    return mpmath.mpf(1)
 
 
 class Poly:
@@ -222,31 +216,28 @@ def _series_inverse(coeffs, order, zero):
     return out
 
 
-def residue(num, den, location, exact=True, tol=None):
+def residue(num, den, location):
     """Residue of num/den at a finite location.
 
     Returns 0 (in the scalar type of ``location``) when the location is
-    not actually a pole.  Pole order is capped at MAX_POLE_ORDER.  For
-    inexact scalars, coefficients smaller than ``tol`` times the largest
-    shifted denominator coefficient are treated as zero when detecting
-    the pole order.
+    not actually a pole.  Pole order is capped at MAX_POLE_ORDER.  At an
+    mpmath ``mpf``/``mpc`` location, shifted denominator coefficients
+    at most 2^(-3/4 of the working precision) times the largest one count
+    as zero when detecting the pole order.
     """
     ds = den.shift(location)
     ns = num.shift(location)
     zero = location * 0
     dc = list(ds.coeffs)
-    if not exact:
-        scale = max(abs(c) for c in dc) if dc else mpmath.mpf(1)
-        if tol is None:
-            tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
-        cut = scale * tol
-        m = 0
-        while m < len(dc) and abs(dc[m]) <= cut:
-            m += 1
+    if isinstance(location, (mpmath.mpf, mpmath.mpc)):
+        tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
+        cut = max((abs(c) for c in dc), default=0) * tol
+        vanishes = lambda c: abs(c) <= cut
     else:
-        m = 0
-        while m < len(dc) and _is_zero(dc[m]):
-            m += 1
+        vanishes = _is_zero
+    m = 0
+    while m < len(dc) and vanishes(dc[m]):
+        m += 1
     if m == 0:
         return zero
     if m > MAX_POLE_ORDER:
@@ -272,7 +263,7 @@ def residue_at_infinity(num, den):
     # res_inf = -res_{w=0} [ w^{dd-dn-2} * nr(w)/dr(w) ]
     e = dd - dn - 2
     if e >= 0:
-        nr = nr * Poly([nr.coeffs[0] * 0] * e + [_one_like(nr.coeffs[0])])
+        nr = Poly([nr.coeffs[0] * 0] * e + list(nr.coeffs))
         e = 0
     order = -e
     if order == 0:
@@ -287,67 +278,54 @@ def residue_at_infinity(num, den):
 
 
 # ---------------------------------------------------------------------------
-# resultant
+# resultant and linear algebra
 
 
 def resultant(p, q):
-    """Sylvester resultant; exact over Fraction or radical coefficients."""
+    """Resultant by the Euclidean remainder sequence, exact over
+    Fraction or radical coefficients, with the Sylvester determinant's
+    sign: res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) res(q, r)
+    for r = p mod q, and res(p, c) = c^(deg p) for a constant c."""
     m, n = p.degree, q.degree
     if m < 0 or n < 0:
         return Fraction(0)
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    zero = p.coeffs[0] * 0
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([zero] * i + pc + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + qc + [zero] * (size - n - 1 - i))
-    return _det(rows)
+    scale = 1
+    while n > 0:
+        r = p.divmod(q)[1]
+        if r.is_zero():
+            return q.coeffs[0] * 0
+        if m * n % 2:
+            scale = -scale
+        scale = scale * q.coeffs[-1] ** (m - r.degree)
+        p, q = q, r
+        m, n = n, r.degree
+    return scale * q.coeffs[0] ** m
 
 
-def _det(rows):
-    """Determinant by Gaussian elimination over a field, with pivoting."""
-    n = len(rows)
-    det = _one_like(rows[0][0]) if n else Fraction(1)
-    sign = 1
-    numeric = isinstance(rows[0][0], (mpmath.mpf, mpmath.mpc, float, complex))
-    for col in range(n):
-        piv = None
-        if numeric:
-            best = -1
-            for r in range(col, n):
-                a = abs(rows[r][col])
-                if a > best:
-                    best, piv = a, r
-            if best == 0:
-                return det * 0
-        else:
-            for r in range(col, n):
-                if not _is_zero(rows[r][col]):
-                    piv = r
-                    break
-            if piv is None:
-                return det * 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pv = rows[col][col]
-        det = det * pv
-        inv = _scalar_inv(pv)
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if _is_zero(f):
-                continue
-            rr, rc = rows[r], rows[col]
-            for c in range(col + 1, n):
-                rr[c] = rr[c] - f * rc[c]
-    return det if sign > 0 else -det
+def row_reduce(rows):
+    """Gauss-Jordan elimination over a field, on a copy of ``rows``.
+
+    Returns ``(rank, pivots, reduced)``: ``pivots`` lists the pivot
+    column of each of the first ``rank`` reduced rows, in increasing
+    order; each pivot entry is 1 and the only nonzero in its column, and
+    the remaining rows are zero.  The pivot of a column is its first
+    nonzero entry at or below the current row."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if not _is_zero(m[r][col])), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        inv = _scalar_inv(m[top][col])
+        prow = m[top] = [x * inv for x in m[top]]
+        for r, row in enumerate(m):
+            f = row[col]
+            if r != top and not _is_zero(f):
+                m[r] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return len(pivots), pivots, m
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,6 @@ def gamma(i, j):
     return gen(GK_GAMMA, i, j)
 
 
-def is_const(e):
-    return e.op == OP_CONST
-
-
 def const_value(e):
     return e.args[0]
 

@@ -47,7 +47,14 @@ from .algebra import (
     redraw,
 )
 from .correlators import CorrelatorTable
-from .exact import NonConvergenceError, Poly, poly_roots, residue, residue_at_infinity
+from .exact import (
+    NonConvergenceError,
+    Poly,
+    _is_zero,
+    poly_roots,
+    residue,
+    residue_at_infinity,
+)
 from .genus2 import g2_function, o_difference_graphs, relation_expression
 from .radicals import RadicalElem, RadicalField, is_square_fraction, radical_tower
 from .report import (
@@ -555,7 +562,7 @@ def _zero_ok(val, spec, precision, ctx):
     """An exact zero on the exact families; on the numeric ones, below
     the tolerance relative to the largest addend ``ctx`` evaluated."""
     if spec.exact:
-        return _is_exact_zero(val)
+        return _is_zero(val)
     return _residual_ok(val, precision, ctx.stats.max_mag)
 
 
@@ -645,12 +652,6 @@ def _gradient_trials(spec, precision):
             return out
 
     return trials
-
-
-def _is_exact_zero(val):
-    if isinstance(val, RadicalElem):
-        return val.is_zero()
-    return val == 0
 
 
 def _res_str(val):
@@ -821,7 +822,7 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
         checks, draw = redraw(lambda: residue_checks(spec, rng), spec.label)
         digest = point_digest((spec.label, draw))
         for name, first, second in checks:
-            ok = _is_exact_zero(first) and _is_exact_zero(second)
+            ok = _is_zero(first) and _is_zero(second)
             report.add_trial(digest + ":" + name,
                              "%s | %s" % (_res_str(first), _res_str(second)),
                              ok)

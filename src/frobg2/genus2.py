@@ -27,6 +27,7 @@ from operator import itemgetter
 
 from .algebra import Algebra, EvalContext, ResampleNeeded, random_context, redraw
 from .correlators import CorrelatorTable, h_function
+from .exact import row_reduce
 from .expr import ZERO, add, const, gamma, h, jet, mul, neg, pow_, sub, u
 from .graphs import builtin, graph_function
 from .report import DEFAULT_SEED, VerificationReport, point_digest
@@ -291,9 +292,10 @@ def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
 
     Solves sum_g a_g * graph(g) = f2_reference - g2_function at random
     exact points and checks the solution is consistent on the leftover
-    equations.  Raises if the sampled system stays singular.  At n = 1
-    the sixteen contractions span only three dimensions, so n must be
-    at least 2.
+    equations.  Raises RuntimeError naming the coefficient rank out of
+    16: "singular" when it is below 16, "inconsistent" when it is full
+    but the right-hand side leaves the span.  At n = 1 the sixteen
+    contractions span only three dimensions, so n must be at least 2.
     """
     if n < 2:
         raise ValueError("need n >= 2: the n = 1 system is singular")
@@ -305,40 +307,15 @@ def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
     cols = [graph_function(builtin(nm), table) for nm in names]
     target = add(f2_reference(alg), neg(g2_function(alg)))
     rng = random.Random(seed)
-    rows = []
-    rhs = []
-    for _ in range(samples):
-        _, values = _generic_point(n, rng, cols + [target])
-        rows.append(values[:-1])
-        rhs.append(values[-1])
-    sol = _solve_overdetermined(rows, rhs)
-    if sol is None:
-        raise RuntimeError("sampled linear system is singular or inconsistent")
-    return dict(zip(names, sol))
-
-
-def _solve_overdetermined(rows, rhs):
-    """Exact least-assumption solve: Gaussian elimination on the full
-    stacked system; returns None if singular or inconsistent."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncol = len(rows[0])
-    rank = 0
-    for col in range(ncol):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    for r in range(rank, len(m)):
-        if any(x != 0 for x in m[r]):
-            return None
-    return [m[r][ncol] for r in range(ncol)]
+    rows = [_generic_point(n, rng, cols + [target])[1] for _ in range(samples)]
+    _, pivots, reduced = row_reduce(rows)
+    if pivots != list(range(16)):
+        rank = len([col for col in pivots if col < 16])
+        kind = "singular" if rank < 16 else "inconsistent"
+        raise RuntimeError(
+            "sampled linear system is %s: coefficient rank %d of 16" % (kind, rank)
+        )
+    return {nm: row[-1] for nm, row in zip(names, reduced)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Kernel tests: polynomials, residues, resultants, roots, radical field.
+"""Kernel tests: polynomials, residues, resultants, row reduction, roots,
+radical field.
 
 Expected values come from independent routes: sympy for residues and
 resultants, root products for resultants, direct series expansion by
@@ -12,6 +13,9 @@ import mpmath
 import pytest
 import sympy
 
+from frobg2 import genus2
+from frobg2.algebra import Algebra
+from frobg2.correlators import CorrelatorTable
 from frobg2.exact import (
     Poly,
     RationalFunction,
@@ -19,8 +23,11 @@ from frobg2.exact import (
     residue,
     residue_at_infinity,
     resultant,
+    row_reduce,
 )
+from frobg2.graphs import builtin, graph_function
 from frobg2.radicals import RadicalField, independent_radicands, is_square_fraction
+from frobg2.report import DEFAULT_SEED
 
 
 def F(a, b=1):
@@ -119,7 +126,7 @@ class TestResidue:
             a = mpmath.mpf(1) / 3
             num = Poly([mpmath.mpf(1)])
             den = Poly([-a, mpmath.mpf(1)]) * Poly([mpmath.mpf(1), mpmath.mpf(1)])
-            got = residue(num, den, a, exact=False)
+            got = residue(num, den, a)
             assert abs(got - 1 / (a + 1)) < mpmath.mpf(2) ** -200
 
 
@@ -170,6 +177,55 @@ class TestResultant:
         p = Poly([F(-2), F(1)]) * Poly([F(3), F(1)])
         q = Poly([F(-2), F(1)]) * Poly([F(5), F(2)])
         assert resultant(p, q) == 0
+
+
+class TestRadicalResultant:
+    def test_root_product_value(self):
+        # res(x^2 - 3, x - sqrt 2) = (sqrt 3 - sqrt 2)(-sqrt 3 - sqrt 2) = -1
+        K = RadicalField([F(2)])
+        p = Poly([K.rational(-3), K.rational(0), K.rational(1)])
+        q = Poly([-K.sqrt_gen(0), K.rational(1)])
+        assert resultant(p, q) == -1
+
+
+class TestRowReduce:
+    def test_full_rank(self):
+        rows = [[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(10)]]
+        before = [list(r) for r in rows]
+        rank, pivots, reduced = row_reduce(rows)
+        assert (rank, pivots) == (3, [0, 1, 2])
+        assert reduced == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
+        assert rows == before
+
+    def test_singular(self):
+        rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(1), F(0), F(1)]]
+        rank, pivots, reduced = row_reduce(rows)
+        assert (rank, pivots) == (2, [0, 1])
+        assert reduced[2] == [0, 0, 0]
+
+    def test_inconsistent_right_hand_side_takes_a_pivot(self):
+        # x + y = 2 and x + y = 3, augmented
+        rank, pivots, reduced = row_reduce([[F(1), F(1), F(2)], [F(1), F(1), F(3)]])
+        assert (rank, pivots) == (2, [0, 2])
+        assert reduced == [[1, 1, 0], [0, 0, 1]]
+
+    def test_radical_system(self):
+        # sqrt2 x + y = 1, x + sqrt2 y = 0: x = sqrt2, y = -1
+        K = RadicalField([F(2)])
+        s2, one, zero = K.sqrt_gen(0), K.one(), K.zero()
+        rank, pivots, reduced = row_reduce([[s2, one, one], [one, s2, zero]])
+        assert (rank, pivots) == (2, [0, 1])
+        assert reduced == [[one, zero, s2], [zero, one, -one]]
+        # sqrt2 times the second row is the first
+        rank, pivots, _ = row_reduce([[s2, K.rational(2)], [one, s2]])
+        assert (rank, pivots) == (1, [0])
+
+    def test_one_coordinate_contractions_have_rank_three(self):
+        table = CorrelatorTable(Algebra(1))
+        cols = [graph_function(builtin("Q%d" % p), table) for p in range(1, 17)]
+        rng = random.Random(DEFAULT_SEED)
+        rows = [genus2._generic_point(1, rng, cols)[1] for _ in range(32)]
+        assert row_reduce(rows)[0] == 3
 
 
 class TestRoots:

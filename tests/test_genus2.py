@@ -147,6 +147,35 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_coefficients(1)
 
+    def test_singular_system_is_reported_first(self, monkeypatch):
+        # Q2's column replaced by Q1's: coefficient rank 15, and the
+        # right-hand side then leaves the span too, so both failures show
+        sample = genus2._generic_point
+
+        def copy_q1_into_q2(n, rng, expressions):
+            ctx, values = sample(n, rng, expressions)
+            values[1] = values[0]
+            return ctx, values
+
+        monkeypatch.setattr(genus2, "_generic_point", copy_q1_into_q2)
+        with pytest.raises(RuntimeError, match="singular: coefficient rank 15 of 16"):
+            solve_coefficients(2)
+
+    def test_inconsistent_system_is_reported(self, monkeypatch):
+        sample = genus2._generic_point
+        moved = []
+
+        def move_one_rhs(n, rng, expressions):
+            ctx, values = sample(n, rng, expressions)
+            if not moved:
+                values[-1] += 1
+                moved.append(True)
+            return ctx, values
+
+        monkeypatch.setattr(genus2, "_generic_point", move_one_rhs)
+        with pytest.raises(RuntimeError, match="inconsistent: coefficient rank 16 of 16"):
+            solve_coefficients(2)
+
 
 class TestRelation:
     @pytest.mark.parametrize("n", [2, 3])
