@@ -226,7 +226,7 @@ class EvalContext:
             raise ResampleNeeded(str(exc)) from exc
 
 
-def random_rational(rng, bound=10**4):
+def random_rational(rng, bound):
     num = rng.randint(-bound, bound)
     den = rng.randint(1, bound)
     return Fraction(num, den)

@@ -1,13 +1,13 @@
 """Exact and arbitrary-precision scalar kernel.
 
-Univariate polynomials and rational functions over any field-like scalar
-type (``fractions.Fraction``, :class:`frobg2.radicals.RadicalElem`, or
+Univariate polynomials over any field-like scalar type
+(``fractions.Fraction``, :class:`frobg2.radicals.RadicalElem`, or
 mpmath ``mpf``/``mpc``), plus the primitives the rest of the package
 leans on:
 
 * ``poly_roots``   -- all complex roots at a requested bit precision,
-* ``residue``      -- residue of a rational function at a finite point
-                      or at infinity (pole order up to 8),
+* ``residue``      -- residue of a quotient ``num/den`` of polynomials at
+                      a finite point or at infinity (pole order up to 8),
 * ``resultant``    -- resultant by the Euclidean remainder sequence,
                       exact over exact scalars,
 * ``row_reduce``   -- Gauss-Jordan elimination, the kernel's one linear
@@ -170,34 +170,6 @@ def poly_gcd(a, b):
     return a.monic()
 
 
-class RationalFunction:
-    """Quotient of two polynomials; cancels the gcd for exact scalars."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den, exact=True):
-        if not isinstance(num, Poly):
-            num = Poly([num])
-        if not isinstance(den, Poly):
-            den = Poly([den])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if exact and not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        self.num = num
-        self.den = den
-
-    def __call__(self, x):
-        return self.num(x) * _scalar_inv(self.den(x))
-
-    def deriv(self):
-        n, d = self.num, self.den
-        return RationalFunction(n.deriv() * d - n * d.deriv(), d * d, exact=False)
-
-
 # ---------------------------------------------------------------------------
 # residues
 
@@ -214,6 +186,18 @@ def _series_inverse(coeffs, order, zero):
             acc = acc + cj * out[k - j]
         out[k] = -inv0 * acc
     return out
+
+
+def _laurent_tail(ns, ds, order, zero):
+    """The w^(order-1) coefficient of the series ns(w)/ds(w), for
+    coefficient lists with ds[0] invertible: the residue of
+    ns/(w^order ds) at w = 0."""
+    inv = _series_inverse(ds, order, zero)
+    acc = zero
+    for j in range(order):
+        nj = ns[j] if j < len(ns) else zero
+        acc = acc + nj * inv[order - 1 - j]
+    return acc
 
 
 def residue(num, den, location):
@@ -244,13 +228,7 @@ def residue(num, den, location):
         raise NonConvergenceError("pole order %d exceeds cap %d" % (m, MAX_POLE_ORDER))
     if m >= len(dc):
         raise ZeroDivisionError("denominator vanishes identically at location")
-    d1 = dc[m:]  # den / w^m, unit constant term
-    inv = _series_inverse(d1, m, zero)
-    acc = zero
-    for j in range(m):
-        nj = ns.coeffs[j] if j < len(ns.coeffs) else zero
-        acc = acc + nj * inv[m - 1 - j]
-    return acc
+    return _laurent_tail(ns.coeffs, dc[m:], m, zero)  # dc[m:]: den / w^m
 
 
 def residue_at_infinity(num, den):
@@ -268,13 +246,7 @@ def residue_at_infinity(num, den):
     order = -e
     if order == 0:
         return den.coeffs[0] * 0
-    zero = den.coeffs[0] * 0
-    inv = _series_inverse(list(dr.coeffs), order, zero)
-    acc = zero
-    for j in range(order):
-        nj = nr.coeffs[j] if j < len(nr.coeffs) else zero
-        acc = acc + nj * inv[order - 1 - j]
-    return -acc
+    return -_laurent_tail(nr.coeffs, dr.coeffs, order, den.coeffs[0] * 0)
 
 
 # ---------------------------------------------------------------------------

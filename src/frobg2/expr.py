@@ -493,23 +493,8 @@ def _by_operators(node, cache):
     return _to_kernel(v)
 
 
-def _shared_radicands(field, common, memo):
-    """(num, den) of the product of the radicands whose bits are set in
-    ``common``: the rational factor two monomials sharing them make."""
-    key = (field, common)
-    out = memo.get(key)
-    if out is None:
-        q = Fraction(1)
-        for k, r in enumerate(field.radicands):
-            if common >> k & 1:
-                q *= r
-        out = memo[key] = (q.numerator, q.denominator)
-    return out
-
-
 def _evaluate_exact(e, gen_value, cache):
     """The kernel value of e; fills ``cache`` with kernel values."""
-    shared = {}
     for node in _postorder(e):
         if node in cache:
             continue
@@ -561,9 +546,9 @@ def _evaluate_exact(e, gen_value, cache):
                             d *= d2
                     else:
                         if m & m2:
-                            rn, rd = _shared_radicands(f, m & m2, shared)
-                            n *= rn
-                            d *= rd
+                            q = f.shared(m & m2)
+                            n *= q.numerator
+                            d *= q.denominator
                         n *= n2
                         d *= d2
                         m ^= m2

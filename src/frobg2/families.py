@@ -26,7 +26,6 @@ no other code branches on the kind.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -137,50 +136,16 @@ class SamplePoint:
     hs: list
     gammas: dict
     jets: dict
-    provenance: dict = field(default_factory=dict)
+    mode: str  # "exact" or "numeric", the EvalContext mode
+    draw: tuple  # the sampler's raw draw, hashed by digest()
     internal: dict = field(default_factory=dict)
 
     def context(self):
-        mode = self.provenance.get("mode", "exact")
         return EvalContext(self.n, self.us, self.hs, self.gammas, self.jets,
-                           mode=mode)
+                           mode=self.mode)
 
     def digest(self):
-        return point_digest(self.provenance.get("draw"))
-
-    def to_json(self):
-        prec = self.provenance.get("precision", DEFAULT_PRECISION)
-        return json.dumps(
-            {
-                "n": self.n,
-                "u": [_scalar_json(v, prec) for v in self.us],
-                "h": [_scalar_json(v, prec) for v in self.hs],
-                "gamma": {
-                    "%d,%d" % k: _scalar_json(v, prec)
-                    for k, v in sorted(self.gammas.items())
-                },
-                "jets": {
-                    "%d,%d" % k: _scalar_json(v, prec)
-                    for k, v in sorted(self.jets.items())
-                },
-                "provenance": {
-                    k: v for k, v in self.provenance.items() if k != "draw"
-                },
-            }
-        )
-
-
-def _scalar_json(v, prec):
-    """Rationals as num/den strings, everything else as full-precision
-    decimal strings (re, im pair for complex values)."""
-    if isinstance(v, (int, Fraction)):
-        v = Fraction(v)
-        return "%d/%d" % (v.numerator, v.denominator)
-    if isinstance(v, RadicalElem):
-        v = v.to_mpc(prec)
-    dps = mpmath.libmp.prec_to_dps(prec) + 3
-    v = mpmath.mpc(v)
-    return [mpmath.nstr(v.real, dps), mpmath.nstr(v.imag, dps)]
+        return point_digest(self.draw)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +489,7 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
     return SamplePoint(
         n=spec.n, us=data.pop("us"), hs=data.pop("hs"), gammas=data.pop("gammas"),
         jets=random_jets(rng, spec.n, 50),
-        provenance={
-            "family": spec.label,
-            "seed": seed,
-            "precision": precision,
-            "mode": "exact" if spec.exact else "numeric",
-            "draw": data.pop("draw"),
-        },
+        mode="exact" if spec.exact else "numeric", draw=data.pop("draw"),
         internal=data,  # what is left: the family's own parameters
     )
 
@@ -633,23 +592,22 @@ def _gradient_trials(spec, precision):
     exprs = [table.g_gradient(i) for i in table.alg.indices()]
 
     def trials(point):
-        with mpmath.workprec(precision + 64):
-            ctx = point.context()
-            grads = [ctx.evaluate(e) for e in exprs]
-            if family.ade:
-                return [(_res_str(val), _zero_ok(val, spec, precision, ctx))
-                        for val in grads]
-            scale = family.log_scale(spec)
-            eta = point.internal["eta"]
-            logt = _log_tn_gradient(spec, point)
-            out = []
-            for i, val in enumerate(grads):
-                res1 = val - eta[i] / 24
-                res2 = logt[i] + scale * eta[i]
-                ok = (_residual_ok(res1, precision, ctx.stats.max_mag)
-                      and _residual_ok(res2, precision, eta[i]))
-                out.append((_res_str(max(abs(res1), abs(res2))), ok))
-            return out
+        ctx = point.context()
+        grads = [ctx.evaluate(e) for e in exprs]
+        if family.ade:
+            return [(_res_str(val), _zero_ok(val, spec, precision, ctx))
+                    for val in grads]
+        scale = family.log_scale(spec)
+        eta = point.internal["eta"]
+        logt = _log_tn_gradient(spec, point)
+        out = []
+        for i, val in enumerate(grads):
+            res1 = val - eta[i] / 24
+            res2 = logt[i] + scale * eta[i]
+            ok = (_residual_ok(res1, precision, ctx.stats.max_mag)
+                  and _residual_ok(res2, precision, eta[i]))
+            out.append((_res_str(max(abs(res1), abs(res2))), ok))
+        return out
 
     return trials
 
@@ -836,15 +794,17 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
 def _family_suite(command, spec, points, seed, precision, trials, **params):
     """The report of ``trials(point)`` on ``points`` family points drawn
     at seeds seed, seed + 1, ...; ``trials`` returns one (residual, ok)
-    pair per trial."""
+    pair per trial.  Sampling, the trials and their residual strings
+    all run at precision + 64 bits, whatever the ambient precision."""
     report = VerificationReport(
         command=command, n=spec.n, family=spec.label,
         seed=seed, precision=precision, params=params,
     )
-    for k in range(points):
-        point = sample(spec, seed=seed + k, precision=precision)
-        for res, ok in trials(point):
-            report.add_trial(point.digest(), res, ok)
+    with mpmath.workprec(precision + 64):
+        for k in range(points):
+            point = sample(spec, seed=seed + k, precision=precision)
+            for res, ok in trials(point):
+                report.add_trial(point.digest(), res, ok)
     return report
 
 
@@ -853,9 +813,8 @@ def _evaluates_to(build, spec, precision, want=Fraction(0)):
     expr = build(Algebra(spec.n))
 
     def trials(point):
-        with mpmath.workprec(precision + 64):
-            ctx = point.context()
-            val = ctx.evaluate(expr) - want
+        ctx = point.context()
+        val = ctx.evaluate(expr) - want
         return [(_res_str(val), _zero_ok(val, spec, precision, ctx))]
 
     return trials

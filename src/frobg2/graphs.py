@@ -113,11 +113,6 @@ class DualGraph:
             }
         )
 
-    @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        return DualGraph.make(d["vertices"], d["edges"], d["legs"])
-
     def to_dot(self, name="G"):
         lines = ["graph %s {" % name]
         for v, g in enumerate(self.genera):

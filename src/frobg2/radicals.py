@@ -6,8 +6,8 @@ An element is a dict mapping a bitmask over the radicals to a rational
 coefficient; multiplication XORs masks and picks up the product of the
 shared radicands.  Inversion is by successive conjugation over the
 tower, so the type is a genuine field as long as the radicands are
-multiplicatively independent.  ``independent_radicands`` checks exactly
-that and lets samplers reject degenerate draws.
+multiplicatively independent; ``radical_tower`` builds its basis that
+way.
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ def is_square_fraction(q):
     return ra * ra == a and rb * rb == b
 
 
-def independent_radicands(rads):
-    """True when no nonempty subset of the radicands has a square product."""
-    n = len(rads)
-    for mask in range(1, 1 << n):
-        prod = Fraction(1)
-        for k in range(n):
-            if mask >> k & 1:
-                prod *= Fraction(rads[k])
-        if is_square_fraction(prod):
-            return False
-    return True
-
-
 def _fraction_sqrt(q):
     q = Fraction(q)
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
@@ -57,36 +44,27 @@ def radical_tower(rads):
     ``(field, roots)`` with ``roots[k] ** 2 == rads[k]``.
     """
     basis = []
-    recipes = []
+    monomials = []  # (mask, c): the root c * sqrt(prod of masked basis)
     for r in rads:
         r = Fraction(r)
         if r == 0:
             raise ValueError("zero radicand")
-        dep = None
         for mask in range(1 << len(basis)):
             prod = r
             for k in range(len(basis)):
                 if mask >> k & 1:
                     prod *= basis[k]
             if is_square_fraction(prod):
-                dep = (mask, _fraction_sqrt(prod))
+                # sqrt(r) = sqrt(r b) / b with b = prod / r
+                monomials.append((mask, _fraction_sqrt(prod) / (prod / r)))
                 break
-        if dep is None:
-            recipes.append(("gen", len(basis)))
-            basis.append(r)
         else:
-            recipes.append(("combo",) + dep)
+            monomials.append((1 << len(basis), Fraction(1)))
+            basis.append(r)
     fld = RadicalField(basis)
     roots = []
-    for rec, r in zip(recipes, rads):
-        if rec[0] == "gen":
-            root = fld.sqrt_gen(rec[1])
-        else:
-            mask, q = rec[1], rec[2]
-            root = fld.rational(q)
-            for k in range(len(basis)):
-                if mask >> k & 1:
-                    root = root * fld.sqrt_gen(k) / basis[k]
+    for (mask, c), r in zip(monomials, rads):
+        root = RadicalElem(fld, {mask: c})
         if root * root != fld.rational(r):
             raise AssertionError("radical tower root mismatch")
         roots.append(root)
@@ -96,13 +74,14 @@ def radical_tower(rads):
 class RadicalField:
     """A fixed tuple of radicands; factory for elements over them."""
 
-    __slots__ = ("radicands", "_numeric_cache")
+    __slots__ = ("radicands", "_numeric_cache", "_shared_cache")
 
     def __init__(self, radicands):
         self.radicands = tuple(Fraction(r) for r in radicands)
         if any(r == 0 for r in self.radicands):
             raise ValueError("zero radicand")
         self._numeric_cache = {}
+        self._shared_cache = {}
 
     def __len__(self):
         return len(self.radicands)
@@ -120,6 +99,19 @@ class RadicalField:
 
     def one(self):
         return RadicalElem(self, {0: Fraction(1)})
+
+    def shared(self, common):
+        """The product of the radicands whose bits are set in ``common``:
+        the rational factor sqrt(r)**2 of each radical two monomials
+        share."""
+        q = self._shared_cache.get(common)
+        if q is None:
+            q = Fraction(1)
+            for k, r in enumerate(self.radicands):
+                if common >> k & 1:
+                    q *= r
+            self._shared_cache[common] = q
+        return q
 
     def sqrt_gen(self, k):
         """The generator sqrt(radicands[k])."""
@@ -152,9 +144,6 @@ class RadicalElem:
 
     def is_rational(self):
         return all(m == 0 for m in self.coeffs)
-
-    def one(self):
-        return self.field.one()
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -225,12 +214,15 @@ class RadicalElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        rads = self.field.radicands
+        shared = self.field.shared
         if len(self.coeffs) == 1 and len(other.coeffs) == 1:
             ((m1, c1),) = self.coeffs.items()
             ((m2, c2),) = other.coeffs.items()
-            return RadicalElem(self.field, {m1 ^ m2: _shared(c1 * c2, m1 & m2, rads)})
-        terms = ((m1 ^ m2, _shared(c1 * c2, m1 & m2, rads))
+            c = c1 * c2
+            if m1 & m2:
+                c *= shared(m1 & m2)
+            return RadicalElem(self.field, {m1 ^ m2: c})
+        terms = ((m1 ^ m2, c1 * c2 * shared(m1 & m2) if m1 & m2 else c1 * c2)
                  for m1, c1 in self.coeffs.items()
                  for m2, c2 in other.coeffs.items())
         return RadicalElem(self.field, _accumulate({}, terms))
@@ -305,15 +297,3 @@ def _accumulate(out, terms):
             else:
                 del out[m]
     return out
-
-
-def _shared(c, common, rads):
-    """c times the radicands whose bits are set in ``common``: the
-    rational factor sqrt(r)**2 of each radical two monomials share."""
-    k = 0
-    while common:
-        if common & 1:
-            c *= rads[k]
-        common >>= 1
-        k += 1
-    return c

