@@ -317,6 +317,21 @@ def _postorder(e):
     return order
 
 
+# root -> its postorder, for the DAGs kept for the life of the process
+_schedules = {}
+
+
+def keep_schedule(e):
+    """Walk e once and evaluate it in that order from now on.  For a DAG
+    that lives as long as the process: the order is kept as long."""
+    _schedules[e] = tuple(_postorder(e))
+
+
+def _schedule(e):
+    order = _schedules.get(e)
+    return _postorder(e) if order is None else order
+
+
 def node_count(e):
     return len(_postorder(e))
 
@@ -416,13 +431,15 @@ def evaluate(e, gen_value, cache=None, stats=None):
     ``cache`` is a per-point memo shared across expressions.  With
     ``stats`` (numeric points) the addend magnitudes are noted in it;
     without, the exact kernel runs and ``cache`` holds kernel values
-    (see ``_evaluate_exact``), not scalars."""
+    (see ``_evaluate_exact``), not scalars.  A DAG given to
+    ``keep_schedule`` is evaluated in its kept order, any other is walked
+    afresh; a node already in ``cache`` is skipped either way."""
     if cache is None:
         cache = {}
     if stats is None:
         return _from_kernel(_evaluate_exact(e, gen_value, cache))
     converted = {}
-    for node in _postorder(e):
+    for node in _schedule(e):
         if node in cache:
             continue
         op = node.op
@@ -495,7 +512,7 @@ def _by_operators(node, cache):
 
 def _evaluate_exact(e, gen_value, cache):
     """The kernel value of e; fills ``cache`` with kernel values."""
-    for node in _postorder(e):
+    for node in _schedule(e):
         if node in cache:
             continue
         op = node.op

@@ -27,7 +27,9 @@ no other code branches on the kind.
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -791,20 +793,116 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
 # family-level verification suites
 
 
+def _worker_count(points):
+    """How many processes share a suite's points: this one and the
+    workers it forks, at most one per usable core.  A process that has
+    threads stays serial, because forking one is unsafe."""
+    if points < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(points, len(os.sched_getaffinity(0)))
+
+
+def _forked_map(fn, items):
+    """``[fn(x) for x in items]``, the items dealt round robin to this
+    process and to workers forked from it.  A worker inherits ``fn`` and
+    everything it reaches (a built DAG, mpmath's precision) and sends
+    back its results, or the exception it raised, which is raised here
+    with the worker's traceback as its cause.  If this process's own
+    share raises, every worker is killed and reaped before the
+    exception leaves."""
+    workers = _worker_count(len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    import gc
+    import pickle
+    import signal
+
+    running = []  # (pid, read end of its pipe) per worker not yet reaped
+    gc.collect()  # so that no worker inherits the build's garbage
+    gc.freeze()  # so that no worker's collector writes to the shared heap
+    try:
+        for j in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _work(fn, items[j::workers], w)
+            os.close(w)
+            running.append((pid, open(r, "rb")))
+        gc.unfreeze()
+        shares = [[fn(x) for x in items[::workers]]]
+        while running:
+            pid, fh = running[0]
+            with fh:
+                data = fh.read()
+            del running[0]
+            status = os.waitpid(pid, 0)[1]
+            if not data:
+                raise RuntimeError("suite worker %d ended with status %d and no result"
+                                   % (pid, os.waitstatus_to_exitcode(status)))
+            out, trace = pickle.loads(data)
+            if trace is not None:
+                raise out from RuntimeError("in suite worker %d:\n%s" % (pid, trace))
+            shares.append(out)
+    finally:
+        gc.unfreeze()
+        for pid, fh in running:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[k % workers][k // workers] for k in range(len(items))]
+
+
+def _work(fn, items, w):
+    """A forked worker's whole life: write the pickled ``(results, None)``,
+    or ``(exception, traceback text)`` for whatever it raised, to the
+    pipe end ``w``, then exit at once, so that it never returns into the
+    parent's code nor flushes the parent's buffers.  What cannot be
+    pickled is not written, and the parent sees a worker with no result."""
+    import pickle
+
+    try:
+        try:
+            out = ([fn(x) for x in items], None)
+        except BaseException as exc:  # raised again in the parent
+            import traceback
+
+            out = (exc, traceback.format_exc())
+        data = pickle.dumps(out)
+        with open(w, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
 def _family_suite(command, spec, points, seed, precision, trials, **params):
     """The report of ``trials(point)`` on ``points`` family points drawn
     at seeds seed, seed + 1, ...; ``trials`` returns one (residual, ok)
     pair per trial.  Sampling, the trials and their residual strings
-    all run at precision + 64 bits, whatever the ambient precision."""
+    all run at precision + 64 bits, whatever the ambient precision.
+    Each point depends only on its seed, so the points are shared out
+    among forked workers (``_forked_map``); their trials are reported
+    in point order, and the report is the same for any worker count."""
     report = VerificationReport(
         command=command, n=spec.n, family=spec.label,
         seed=seed, precision=precision, params=params,
     )
+
+    def rows(k):
+        point = sample(spec, seed=seed + k, precision=precision)
+        digest = point.digest()
+        return [(digest, res, ok) for res, ok in trials(point)]
+
     with mpmath.workprec(precision + 64):
-        for k in range(points):
-            point = sample(spec, seed=seed + k, precision=precision)
-            for res, ok in trials(point):
-                report.add_trial(point.digest(), res, ok)
+        for point_rows in _forked_map(rows, range(points)):
+            for row in point_rows:
+                report.add_trial(*row)
     return report
 
 

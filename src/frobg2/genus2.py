@@ -28,7 +28,9 @@ from operator import itemgetter
 from .algebra import Algebra, EvalContext, ResampleNeeded, random_context, redraw
 from .correlators import CorrelatorTable, h_function
 from .exact import row_reduce
-from .expr import ZERO, add, const, gamma, h, jet, mul, neg, pow_, sub, u
+from .expr import (
+    ZERO, add, const, gamma, h, jet, keep_schedule, mul, neg, pow_, sub, u,
+)
 from .graphs import builtin, graph_function
 from .report import DEFAULT_SEED, VerificationReport, point_digest
 
@@ -199,13 +201,16 @@ _built = {}
 
 def _build_once(kind, n, build):
     """The DAG ``build(Algebra(n))`` for ``kind``, built on the first
-    call at each n and kept for the life of the process.  Only the
-    finished DAG is kept; the build's Algebra and CorrelatorTable, with
-    their derive caches, are dropped when it returns."""
+    call at each n and kept for the life of the process, with its
+    evaluation order (``expr.keep_schedule``), so no evaluation walks it
+    again.  Only the finished DAG is kept; the build's Algebra and
+    CorrelatorTable, with their derive caches, are dropped when it
+    returns."""
     key = (kind, n)
     out = _built.get(key)
     if out is None:
         out = _built[key] = build(Algebra(n))
+        keep_schedule(out)
     return out
 
 

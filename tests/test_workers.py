@@ -1,0 +1,175 @@
+"""Family suites on forked workers.
+
+Key oracles:
+* the worker count never changes a report: the bytes at one process
+  (serial) are the bytes at two and three, on every suite verb;
+* what a worker finds reaches the report and the exit code: a failing
+  trial exits 1, a degenerate draw exits 3 with the serial message, any
+  other exception exits 4;
+* no worker outlives its suite, also when this process's own share
+  raises (and see ``conftest.no_child_left``).
+"""
+
+import dataclasses
+import json
+import os
+import signal
+import time
+
+import mpmath
+import pytest
+from click.testing import CliRunner
+
+from frobg2 import families
+from frobg2.cli import main
+from frobg2.families import DegenerateSample, sample
+from frobg2.report import DEFAULT_SEED
+
+SUITE_VERBS = ["verify-g2", "verify-relation", "compute-odiff", "verify-gfunction"]
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """``workers(count)`` forces the suites onto ``count`` processes (at
+    most one per point) and returns the list of forks made."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def force(count):
+        monkeypatch.setattr(families, "_worker_count",
+                            lambda points: min(points, count))
+        return forks
+
+    return force
+
+
+def _run(args):
+    return CliRunner().invoke(main, args)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("verb", SUITE_VERBS)
+    @pytest.mark.parametrize("family", [["--family", "an", "--n", "4"],
+                                        ["--family", "dr", "--r", "1"]],
+                             ids=["An(4)", "Dr(1)"])
+    def test_same_bytes(self, workers, verb, family):
+        prec = mpmath.mp.prec
+        outputs = []
+        for count in (1, 2, 3):
+            forks = workers(count)
+            made = len(forks)
+            res = _run([verb] + family + ["--points", "3"])
+            assert res.exit_code == 0, res.output
+            assert len(forks) - made == count - 1
+            outputs.append(res.stdout)
+        assert len(outputs[0].splitlines()) > 3
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert mpmath.mp.prec == prec
+
+
+class TestWorkerFailures:
+    @staticmethod
+    def _in_worker_at_second_point(monkeypatch, change):
+        """``families.sample`` with ``change(point)`` applied to the second
+        point when a forked worker draws it."""
+        parent = os.getpid()
+
+        def changed(spec, seed, precision):
+            point = sample(spec, seed=seed, precision=precision)
+            if seed == DEFAULT_SEED + 1 and os.getpid() != parent:
+                point = change(point)
+            return point
+
+        monkeypatch.setattr(families, "sample", changed)
+
+    @pytest.mark.parametrize("verb", ["verify-g2", "verify-relation"])
+    @pytest.mark.parametrize("delta", [0, 2**-100], ids=["as-is", "perturbed"])
+    def test_one_gamma(self, monkeypatch, workers, verb, delta):
+        # the numeric gate can fail in a worker: gamma_12 of the second E6
+        # point moved by a relative delta
+        def perturb(point):
+            gammas = dict(point.gammas)
+            gammas[(1, 2)] *= 1 + mpmath.mpf(delta)
+            return dataclasses.replace(point, gammas=gammas)
+
+        workers(2)
+        self._in_worker_at_second_point(monkeypatch, perturb)
+        res = _run([verb, "--family", "e6", "--points", "2"])
+        assert res.exit_code == (1 if delta else 0), res.output
+        trials = [json.loads(line) for line in res.stdout.splitlines()[:-1]]
+        assert [t["pass"] for t in trials] == [True, not delta]
+
+    def test_degenerate_draw_exits_three(self, monkeypatch, workers):
+        def degenerate(spec, seed, precision):
+            if seed == DEFAULT_SEED + 1:
+                raise DegenerateSample(spec.label)
+            return sample(spec, seed=seed, precision=precision)
+
+        monkeypatch.setattr(families, "sample", degenerate)
+        results = []
+        for count in (1, 2):
+            forks = workers(count)
+            results.append(_run(["verify-g2", "--family", "an", "--n", "3",
+                                 "--points", "2"]))
+        assert len(forks) == 1
+        serial, forked = results
+        assert serial.exit_code == forked.exit_code == 3
+        assert forked.stderr == serial.stderr == "non-convergent: An(3)\n"
+        assert forked.stdout == ""
+
+    def test_other_error_exits_four(self, monkeypatch, workers):
+        def fail(point):
+            raise ValueError("worker bug")
+
+        workers(2)
+        self._in_worker_at_second_point(monkeypatch, fail)
+        res = _run(["verify-g2", "--family", "an", "--n", "3", "--points", "2"])
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert "ValueError: worker bug" in res.stderr
+        assert "in suite worker" in res.stderr
+        assert "in fail" in res.stderr  # the worker's own traceback
+
+    def test_worker_without_result_exits_four(self, monkeypatch, workers):
+        def die(point):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        workers(2)
+        self._in_worker_at_second_point(monkeypatch, die)
+        res = _run(["verify-g2", "--family", "an", "--n", "3", "--points", "2"])
+        assert res.exit_code == 4
+        assert "status -9 and no result" in res.stderr
+
+
+class TestWorkerLifetime:
+    def test_own_share_raises(self, workers):
+        # this process raises at once while its worker is still asleep:
+        # the worker is killed and reaped, not waited for
+        workers(2)
+
+        def share(k):
+            if k == 0:
+                raise ValueError("own share")
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="own share"):
+            families._forked_map(share, range(2))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_in_item_order(self, workers):
+        forks = workers(3)
+        assert families._forked_map(lambda k: (k, k * k), range(7)) == [
+            (k, k * k) for k in range(7)]
+        assert len(forks) == 2
