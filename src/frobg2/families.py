@@ -56,6 +56,7 @@ from .exact import (
     residue,
     residue_at_infinity,
 )
+from . import genus2
 from .genus2 import g2_function, o_difference_graphs, relation_expression
 from .radicals import RadicalElem, RadicalField, is_square_fraction, radical_tower
 from .report import (
@@ -804,14 +805,20 @@ def _worker_count(points):
     return min(points, len(os.sched_getaffinity(0)))
 
 
+_collected_at = 0  # genus2._kept at the last collection before forking
+
+
 def _forked_map(fn, items):
     """``[fn(x) for x in items]``, the items dealt round robin to this
     process and to workers forked from it.  A worker inherits ``fn`` and
-    everything it reaches (a built DAG, mpmath's precision) and sends
-    back its results, or the exception it raised, which is raised here
-    with the worker's traceback as its cause.  If this process's own
-    share raises, every worker is killed and reaped before the
-    exception leaves."""
+    everything it reaches (a built DAG, mpmath's precision).  Each
+    process stops at its own first item that raises; the exception of
+    the lowest such item is raised here, as in the serial loop, and a
+    worker's with the worker's traceback as its cause.  A worker whose
+    first item comes after a failure already seen is killed unread, as
+    is every worker still running when this process leaves: all are
+    reaped before it does."""
+    global _collected_at
     workers = _worker_count(len(items))
     if workers < 2:
         return [fn(x) for x in items]
@@ -820,7 +827,14 @@ def _forked_map(fn, items):
     import signal
 
     running = []  # (pid, read end of its pipe) per worker not yet reaped
-    gc.collect()  # so that no worker inherits the build's garbage
+    # A full collection after a build keeps the peak RSS of a cold call
+    # down (without it, An(6) with three points peaked at 34.1 MB, not
+    # 31.9).  Its cost grows with the whole heap, 15-25 ms a call in a
+    # short session, and sampling and evaluation leave no cycles for it,
+    # so a suite call on a DAG kept before the last collection skips it.
+    if _collected_at != genus2._kept:
+        gc.collect()
+        _collected_at = genus2._kept
     gc.freeze()  # so that no worker's collector writes to the shared heap
     try:
         for j in range(1, workers):
@@ -832,12 +846,15 @@ def _forked_map(fn, items):
                 os.close(w)
                 raise
             if pid == 0:
-                _work(fn, items[j::workers], w)
+                _work(fn, items, range(j, len(items), workers), w)
             os.close(w)
             running.append((pid, open(r, "rb")))
         gc.unfreeze()
-        shares = [[fn(x) for x in items[::workers]]]
-        while running:
+        share, failed = _share(fn, items, range(0, len(items), workers))
+        shares = [share]
+        # failed: (index, exception) of the lowest failing item so far; the
+        # next worker's first item is len(shares), and a later one's later
+        while running and (failed is None or failed[0] > len(shares)):
             pid, fh = running[0]
             with fh:
                 data = fh.read()
@@ -846,35 +863,52 @@ def _forked_map(fn, items):
             if not data:
                 raise RuntimeError("suite worker %d ended with status %d and no result"
                                    % (pid, os.waitstatus_to_exitcode(status)))
-            out, trace = pickle.loads(data)
-            if trace is not None:
-                raise out from RuntimeError("in suite worker %d:\n%s" % (pid, trace))
-            shares.append(out)
+            share, worker_failed = pickle.loads(data)
+            if worker_failed is not None and (failed is None
+                                              or worker_failed[0] < failed[0]):
+                k, exc, trace = worker_failed
+                exc.__cause__ = RuntimeError("in suite worker %d:\n%s" % (pid, trace))
+                failed = (k, exc)
+            shares.append(share)
     finally:
         gc.unfreeze()
         for pid, fh in running:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if failed is not None:
+        raise failed[1]
     return [shares[k % workers][k // workers] for k in range(len(items))]
 
 
-def _work(fn, items, w):
-    """A forked worker's whole life: write the pickled ``(results, None)``,
-    or ``(exception, traceback text)`` for whatever it raised, to the
+def _share(fn, items, ks):
+    """``fn(items[k])`` for k in ``ks``, up to the first k that raises:
+    ``(results, None)``, or ``(results so far, (k, exception))``."""
+    out = []
+    for k in ks:
+        try:
+            out.append(fn(items[k]))
+        except Exception as exc:
+            return out, (k, exc)
+    return out, None
+
+
+def _work(fn, items, ks, w):
+    """A forked worker's whole life: write its pickled share, with its
+    first failure's ``(k, exception, traceback text)`` or None, to the
     pipe end ``w``, then exit at once, so that it never returns into the
     parent's code nor flushes the parent's buffers.  What cannot be
     pickled is not written, and the parent sees a worker with no result."""
     import pickle
 
     try:
-        try:
-            out = ([fn(x) for x in items], None)
-        except BaseException as exc:  # raised again in the parent
+        out, failed = _share(fn, items, ks)
+        if failed is not None:
             import traceback
 
-            out = (exc, traceback.format_exc())
-        data = pickle.dumps(out)
+            k, exc = failed
+            failed = (k, exc, "".join(traceback.format_exception(exc)))
+        data = pickle.dumps((out, failed))
         with open(w, "wb") as fh:
             fh.write(data)
     finally:

@@ -197,6 +197,7 @@ class _TableBuilder:
 # the build cache
 
 _built = {}
+_kept = 0  # DAGs kept so far; a forked suite collects garbage when this moves
 
 
 def _build_once(kind, n, build):
@@ -206,11 +207,13 @@ def _build_once(kind, n, build):
     again.  Only the finished DAG is kept; the build's Algebra and
     CorrelatorTable, with their derive caches, are dropped when it
     returns."""
+    global _kept
     key = (kind, n)
     out = _built.get(key)
     if out is None:
         out = _built[key] = build(Algebra(n))
         keep_schedule(out)
+        _kept += 1
     return out
 
 

@@ -136,16 +136,16 @@ class TestReproducibility:
         b = runner.invoke(main, args)
         assert a.output == b.output
 
-    def test_workers_env_same_bytes(self, runner, monkeypatch):
-        # a numeric family: the report bytes and mpmath's global
-        # precision must not depend on a FROBG2_WORKERS setting
+    def test_second_numeric_run_same_bytes(self, runner):
+        # a numeric family run twice in one process: the second run (on
+        # the kept DAG, with no collection before it forks) gives the
+        # same bytes and leaves mpmath's global precision as it was
         args = ["verify-g2", "--family", "dr", "--r", "1", "--points", "2"]
         prec = mpmath.mp.prec
-        solo = runner.invoke(main, args)
-        monkeypatch.setenv("FROBG2_WORKERS", "2")
-        pooled = runner.invoke(main, args)
-        assert solo.exit_code == 0
-        assert solo.output == pooled.output
+        first = runner.invoke(main, args)
+        second = runner.invoke(main, args)
+        assert first.exit_code == 0
+        assert first.output == second.output
         assert mpmath.mp.prec == prec
 
 

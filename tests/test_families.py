@@ -376,6 +376,20 @@ class TestExactPointGate:
         assert report.verdict == ("fail" if delta else "pass")
 
 
+class TestClosedFormGate:
+    @pytest.mark.parametrize("delta", [0, 1], ids=["as-is", "perturbed"])
+    def test_an_o_difference(self, monkeypatch, delta):
+        # the gate can fail: the An closed form of O1 - O2 moved by delta
+        # no longer matches the value at a sampled point
+        an = families.FAMILIES["An"]
+        moved = an.o_difference(FamilySpec.An(3)) + delta
+        monkeypatch.setitem(families.FAMILIES, "An",
+                            dataclasses.replace(an, o_difference=lambda spec: moved))
+        res = CliRunner().invoke(main, ["compute-odiff", "--family", "an", "--n", "3",
+                                        "--points", "1"])
+        assert res.exit_code == (1 if delta else 0), res.output
+
+
 class TestResidualGate:
     def test_relative_tolerance(self):
         assert _residual_ok(mpmath.mpf(2) ** -130, 256)

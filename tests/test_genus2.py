@@ -290,3 +290,16 @@ class TestTermTableGate:
         monkeypatch.setattr(genus2, "_built", {})
         want = "fail" if delta else "pass"
         assert check_decomposition(2, trials=2).verdict == want
+
+
+class TestConstantsGate:
+    @pytest.mark.parametrize("name", ["Q1", "Q16"])
+    @pytest.mark.parametrize("delta", [0, 1], ids=["as-is", "perturbed"])
+    def test_one_constant(self, monkeypatch, name, delta):
+        # the gate can fail: one of the sixteen constants moved by delta
+        # breaks the decomposition; the cached DAG holds the old
+        # constants, so the residual is built afresh
+        monkeypatch.setitem(genus2.CONSTANTS, name, CONSTANTS[name] + delta)
+        monkeypatch.setattr(genus2, "_built", {})
+        want = "fail" if delta else "pass"
+        assert check_decomposition(2, trials=2).verdict == want

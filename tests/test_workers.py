@@ -6,11 +6,16 @@ Key oracles:
 * what a worker finds reaches the report and the exit code: a failing
   trial exits 1, a degenerate draw exits 3 with the serial message, any
   other exception exits 4;
+* a run that fails at several points ends as the serial loop does, at
+  its lowest failing point, for any worker count;
+* the heap is collected before forking once per kept DAG, not once per
+  suite call;
 * no worker outlives its suite, also when this process's own share
   raises (and see ``conftest.no_child_left``).
 """
 
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -20,7 +25,7 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
-from frobg2 import families
+from frobg2 import families, genus2
 from frobg2.cli import main
 from frobg2.families import DegenerateSample, sample
 from frobg2.report import DEFAULT_SEED
@@ -139,6 +144,25 @@ class TestWorkerFailures:
         assert "in suite worker" in res.stderr
         assert "in fail" in res.stderr  # the worker's own traceback
 
+    def test_lowest_failing_point_decides(self, monkeypatch, workers):
+        # point 1 is degenerate and point 2 raises: as in the serial loop,
+        # point 1 decides the exit code, whichever process holds it
+        def two_failures(spec, seed, precision):
+            if seed == DEFAULT_SEED + 1:
+                raise DegenerateSample(spec.label)
+            if seed == DEFAULT_SEED + 2:
+                raise ValueError("later point")
+            return sample(spec, seed=seed, precision=precision)
+
+        monkeypatch.setattr(families, "sample", two_failures)
+        results = []
+        for count in (1, 2, 3):
+            workers(count)
+            results.append(_run(["verify-g2", "--family", "an", "--n", "3",
+                                 "--points", "3"]))
+        assert [res.exit_code for res in results] == [3, 3, 3]
+        assert [res.stderr for res in results] == ["non-convergent: An(3)\n"] * 3
+
     def test_worker_without_result_exits_four(self, monkeypatch, workers):
         def die(point):
             os.kill(os.getpid(), signal.SIGKILL)
@@ -148,6 +172,30 @@ class TestWorkerFailures:
         res = _run(["verify-g2", "--family", "an", "--n", "3", "--points", "2"])
         assert res.exit_code == 4
         assert "status -9 and no result" in res.stderr
+
+
+class TestCollection:
+    def test_once_per_kept_dag(self, monkeypatch, workers):
+        # the heap is collected before forking only when a DAG was kept
+        # since the last collection: after a build, not on every call
+        collects = []
+        collect = gc.collect
+
+        def counted(*args):
+            collects.append(args)
+            return collect(*args)
+
+        monkeypatch.setattr(gc, "collect", counted)
+        monkeypatch.setattr(genus2, "_built", {})
+        forks = workers(2)
+        counts = []
+        for verb in ("verify-g2", "verify-g2", "verify-relation"):
+            made, before = len(forks), len(collects)
+            res = _run([verb, "--family", "an", "--n", "3", "--points", "2"])
+            assert res.exit_code == 0, res.output
+            assert len(forks) - made == 1
+            counts.append(len(collects) - before)
+        assert counts == [1, 0, 1]
 
 
 class TestWorkerLifetime:
