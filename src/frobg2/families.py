@@ -829,9 +829,10 @@ def _forked_map(fn, items):
     running = []  # (pid, read end of its pipe) per worker not yet reaped
     # A full collection after a build keeps the peak RSS of a cold call
     # down (without it, An(6) with three points peaked at 34.1 MB, not
-    # 31.9).  Its cost grows with the whole heap, 15-25 ms a call in a
-    # short session, and sampling and evaluation leave no cycles for it,
-    # so a suite call on a DAG kept before the last collection skips it.
+    # 31.9).  Its cost grows with the whole heap, 15-25 ms a call once
+    # a few n=4 DAGs are kept, and sampling and evaluation leave no
+    # cycles for it, so a suite call on a DAG kept before the last
+    # collection skips it.
     if _collected_at != genus2._kept:
         gc.collect()
         _collected_at = genus2._kept
