@@ -15,10 +15,18 @@ h_i and gamma_ij:
 
 It also builds the Christoffel symbols of the diagonal metric.  All
 results are memoized on the shared expression DAG.
+
+The module also holds what every suite draws its points with: the
+exact evaluation contexts, the bounded redraw loop (``redraw``), and
+the forked workers that share a suite's points out (``forked_map``).
+A suite whose points come from one random stream (``draw_stream``)
+draws them here, in stream order, and computes them on the workers.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -184,6 +192,181 @@ def redraw(draw, label):
         if out is not None:
             return out
     raise DegenerateSample(label)
+
+
+def draw_stream(draw, compute, count, label):
+    """``count`` rows from the items ``draw()`` returns one after another:
+    an item's row is ``compute(item)``, and a None item or row marks a
+    degenerate draw, which is skipped; MAX_RESAMPLE degenerate draws in a
+    row raise ``DegenerateSample(label)``.  These are the rows of the
+    serial loop that ``redraw``s each row in turn, but the items are
+    drawn here and computed on forked workers.
+
+    Each batch draws, in stream order, as many items as rows are still
+    missing, and never more than the draws left before the give-up: a
+    draw consumes the stream the same way whether it turns out
+    degenerate or not, so every draw the serial loop makes is the same
+    here.  The batch's items are computed by ``forked_map`` and accepted
+    in draw order.  ``compute`` runs in a worker on what the worker
+    inherits; only its row is sent back.  A failure, in ``draw`` or in
+    ``compute``, is that of the lowest failing draw, as in the serial
+    loop."""
+    rows = []
+    degenerate = 0  # consecutive degenerate draws
+    while len(rows) < count:
+        items, failed = [], None
+        for _ in range(min(count - len(rows), MAX_RESAMPLE - degenerate)):
+            try:
+                items.append(draw())
+            except Exception as exc:
+                failed = exc  # raised once the draws before it are computed
+                break
+        computed = iter(forked_map(compute, [x for x in items if x is not None]))
+        for item in items:
+            row = None if item is None else next(computed)
+            if row is None:
+                degenerate += 1
+            else:
+                rows.append(row)
+                degenerate = 0
+        if failed is not None:
+            raise failed
+        if degenerate == MAX_RESAMPLE:
+            raise DegenerateSample(label)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+
+
+def _worker_count(points):
+    """How many processes share a map's items: this one and the
+    workers it forks, at most one per usable core.  A process that has
+    threads stays serial, because forking one is unsafe."""
+    if points < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(points, len(os.sched_getaffinity(0)))
+
+
+_uncollected = False  # a DAG was kept since the last collection before forking
+
+
+def kept_dag():
+    """Note a DAG kept for the life of the process (``genus2._build_once``):
+    the next fork collects the heap first."""
+    global _uncollected
+    _uncollected = True
+
+
+def forked_map(fn, items):
+    """``[fn(x) for x in items]``, the items dealt round robin to this
+    process and to workers forked from it.  A worker inherits ``fn`` and
+    everything it reaches (a built DAG, mpmath's precision).  Each
+    process stops at its own first item that raises; the exception of
+    the lowest such item is raised here, as in the serial loop, and a
+    worker's with the worker's traceback as its cause.  A worker whose
+    first item comes after a failure already seen is killed unread, as
+    is every worker still running when this process leaves: all are
+    reaped before it does."""
+    global _uncollected
+    workers = _worker_count(len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
+    import gc
+    import pickle
+    import signal
+
+    running = []  # (pid, read end of its pipe) per worker not yet reaped
+    # A full collection after a build keeps the peak RSS of a cold call
+    # down (without it, An(6) with three points peaked at 34.1 MB, not
+    # 31.9).  Its cost grows with the whole heap, 15-25 ms a call once
+    # a few n=4 DAGs are kept, and sampling and evaluation leave no
+    # cycles for it, so a map on a DAG kept before the last collection
+    # skips it.
+    if _uncollected:
+        gc.collect()
+        _uncollected = False
+    gc.freeze()  # so that no worker's collector writes to the shared heap
+    try:
+        for j in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _work(fn, items, range(j, len(items), workers), w)
+            os.close(w)
+            running.append((pid, open(r, "rb")))
+        gc.unfreeze()
+        share, failed = _share(fn, items, range(0, len(items), workers))
+        shares = [share]
+        # failed: (index, exception) of the lowest failing item so far; the
+        # next worker's first item is len(shares), and a later one's later
+        while running and (failed is None or failed[0] > len(shares)):
+            pid, fh = running[0]
+            with fh:
+                data = fh.read()
+            del running[0]
+            status = os.waitpid(pid, 0)[1]
+            if not data:
+                raise RuntimeError("suite worker %d ended with status %d and no result"
+                                   % (pid, os.waitstatus_to_exitcode(status)))
+            share, worker_failed = pickle.loads(data)
+            if worker_failed is not None and (failed is None
+                                              or worker_failed[0] < failed[0]):
+                k, exc, trace = worker_failed
+                exc.__cause__ = RuntimeError("in suite worker %d:\n%s" % (pid, trace))
+                failed = (k, exc)
+            shares.append(share)
+    finally:
+        gc.unfreeze()
+        for pid, fh in running:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed is not None:
+        raise failed[1]
+    return [shares[k % workers][k // workers] for k in range(len(items))]
+
+
+def _share(fn, items, ks):
+    """``fn(items[k])`` for k in ``ks``, up to the first k that raises:
+    ``(results, None)``, or ``(results so far, (k, exception))``."""
+    out = []
+    for k in ks:
+        try:
+            out.append(fn(items[k]))
+        except Exception as exc:
+            return out, (k, exc)
+    return out, None
+
+
+def _work(fn, items, ks, w):
+    """A forked worker's whole life: write its pickled share, with its
+    first failure's ``(k, exception, traceback text)`` or None, to the
+    pipe end ``w``, then exit at once, so that it never returns into the
+    parent's code nor flushes the parent's buffers.  What cannot be
+    pickled is not written, and the parent sees a worker with no result."""
+    import pickle
+
+    try:
+        out, failed = _share(fn, items, ks)
+        if failed is not None:
+            import traceback
+
+            k, exc = failed
+            failed = (k, exc, "".join(traceback.format_exception(exc)))
+        data = pickle.dumps((out, failed))
+        with open(w, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
 
 
 class EvalContext:

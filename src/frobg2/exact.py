@@ -8,6 +8,8 @@ leans on:
 * ``poly_roots``   -- all complex roots at a requested bit precision,
 * ``residue``      -- residue of a quotient ``num/den`` of polynomials at
                       a finite point or at infinity (pole order up to 8),
+                      shifting at a finite point only the coefficients
+                      it reads,
 * ``resultant``    -- resultant by the Euclidean remainder sequence,
                       exact over exact scalars,
 * ``row_reduce``   -- Gauss-Jordan elimination, the kernel's one linear
@@ -22,6 +24,7 @@ local power-series expansion, never by numerical contour integration.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 
@@ -118,12 +121,7 @@ class Poly:
 
     def shift(self, a):
         """Return p(x + a) via repeated synthetic division."""
-        cs = list(self.coeffs)
-        n = len(cs)
-        for k in range(n):
-            for i in range(n - 2, k - 1, -1):
-                cs[i] = cs[i] + a * cs[i + 1]
-        return Poly(cs)
+        return Poly(_shifted(self.coeffs, a))
 
     def reversed(self):
         """Coefficient reversal x^d p(1/x), d the degree of p."""
@@ -150,6 +148,18 @@ class Poly:
             while rem and _is_zero(rem[-1]):
                 rem.pop()
         return Poly(q), Poly(rem)
+
+
+def _shifted(coeffs, a):
+    """The coefficients of p(x + a), for p with ascending ``coeffs``, one
+    pass of repeated synthetic division each: pass k finishes coefficient
+    k, and runs only when that coefficient is asked for."""
+    cs = list(coeffs)
+    n = len(cs)
+    for k in range(n):
+        for i in range(n - 2, k - 1, -1):
+            cs[i] = cs[i] + a * cs[i + 1]
+        yield cs[k]
 
 
 def _scalar_inv(c):
@@ -207,32 +217,41 @@ def residue(num, den, location):
     not actually a pole.  Pole order is capped at MAX_POLE_ORDER.  At an
     mpmath ``mpf``/``mpc`` location, shifted denominator coefficients
     at most 2^(-3/4 of the working precision) times the largest one count
-    as zero when detecting the pole order.
+    as zero when detecting the pole order.  The shift runs only as far
+    as the residue reads it, pass k of the synthetic division finishing
+    coefficient k: m coefficients of the numerator, m the pole order,
+    and at an exact location 2m of the denominator.  The cut at an
+    mpmath location reads every denominator coefficient.
     """
-    ds = den.shift(location)
-    ns = num.shift(location)
+    if den.is_zero():
+        raise ZeroDivisionError("residue of a quotient by the zero polynomial")
     zero = location * 0
-    dc = list(ds.coeffs)
+    shifted = _shifted(den.coeffs, location)
     if isinstance(location, (mpmath.mpf, mpmath.mpc)):
+        dc = list(shifted)  # the cut reads every coefficient
         tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
-        cut = max((abs(c) for c in dc), default=0) * tol
-        vanishes = lambda c: abs(c) <= cut
+        cut = max(abs(c) for c in dc) * tol
+        m = next(k for k, c in enumerate(dc) if abs(c) > cut)
     else:
-        vanishes = _is_zero
-    m = 0
-    while m < len(dc) and vanishes(dc[m]):
-        m += 1
+        dc = []
+        for c in shifted:  # the shift keeps the leading coefficient nonzero
+            dc.append(c)
+            if not _is_zero(c):
+                break
+        m = len(dc) - 1
     if m == 0:
         return zero
     if m > MAX_POLE_ORDER:
         raise NonConvergenceError("pole order %d exceeds cap %d" % (m, MAX_POLE_ORDER))
-    if m >= len(dc):
-        raise ZeroDivisionError("denominator vanishes identically at location")
-    return _laurent_tail(ns.coeffs, dc[m:], m, zero)  # dc[m:]: den / w^m
+    dc.extend(islice(shifted, m - 1))  # dc[m:2m]: den / w^m, to order m
+    ns = list(islice(_shifted(num.coeffs, location), m))
+    return _laurent_tail(ns, dc[m:], m, zero)
 
 
 def residue_at_infinity(num, den):
     """Residue at infinity: minus the z^{-1} coefficient of num/den."""
+    if den.is_zero():
+        raise ZeroDivisionError("residue of a quotient by the zero polynomial")
     dn, dd = num.degree, den.degree
     if dn < 0:
         return den.coeffs[0] * 0

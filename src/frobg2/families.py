@@ -11,8 +11,11 @@ families go through high-precision complex root finding.
 Each sampler, like each residue check, is one draw that returns None
 when the draw is degenerate.  One bounded loop, ``algebra.redraw``,
 redraws it up to ``MAX_RESAMPLE`` times and then raises
-``DegenerateSample``; the generic exact points of ``genus2`` go through
-the same loop.
+``DegenerateSample``.  The residue checks of a suite, like the generic
+exact points of ``genus2``, share one random stream: they go through
+``algebra.draw_stream``, which makes the same draws and gives up at
+the same count, but computes the draws on forked workers.  The family
+suites fork too (``algebra.forked_map``): each point has its own seed.
 A root finder that does not converge makes a degenerate draw; any
 other error propagates.
 
@@ -27,9 +30,7 @@ no other code branches on the kind.
 from __future__ import annotations
 
 import math
-import os
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -43,6 +44,8 @@ from .algebra import (
     Algebra,
     DegenerateSample,
     EvalContext,
+    draw_stream,
+    forked_map,
     random_jets,
     random_rational,
     redraw,
@@ -56,7 +59,6 @@ from .exact import (
     residue,
     residue_at_infinity,
 )
-from . import genus2
 from .genus2 import g2_function, o_difference_graphs, relation_expression
 from .radicals import RadicalElem, RadicalField, is_square_fraction, radical_tower
 from .report import (
@@ -628,16 +630,19 @@ def _res_str(val):
 
 
 # Each ``*_residue_checks(spec, rng)`` is one draw of fresh exact
-# parameters: it returns the named pairs of values that must both vanish
-# and the draw, or None when the draw is degenerate.
+# parameters.  It makes all of its draws from ``rng`` at once and
+# returns None when they are degenerate, or else a compute: a function
+# of no arguments that returns the named pairs of values that must both
+# vanish and the draw, or None when the draw turns out degenerate.
 
 
 def _an_residue_checks(spec, rng):
-    n = spec.n
-    zs = _an_zs(rng, n)
-    if zs is None:
-        return None
-    lam1 = _monic_from_roots(zs, Fraction(n + 1))
+    zs = _an_zs(rng, spec.n)
+    return None if zs is None else lambda: _an_residues(zs)
+
+
+def _an_residues(zs):
+    lam1 = _monic_from_roots(zs, Fraction(len(zs) + 1))
     lam2 = lam1.deriv()
     lam4 = lam2.deriv().deriv()
     checks = []
@@ -660,12 +665,15 @@ def _an_residue_checks(spec, rng):
 
 
 def _dn_residue_checks(spec, rng):
-    n = spec.n
-    xs = _dn_xs(rng, n)
+    xs = _dn_xs(rng, spec.n)
     if xs is None:
         return None
     shift = random_rational(rng, 12)
-    num = _dn_lambda(xs, n, shift)
+    return lambda: _dn_residues(xs, shift)
+
+
+def _dn_residues(xs, shift):
+    num = _dn_lambda(xs, len(xs), shift)
     zpoly = Poly([Fraction(0), Fraction(1)])
     n1, m1 = _laurent_deriv(num, 1)   # lambda'   = n1 / z^2
     n2, m2 = _laurent_deriv(n1, m1)   # lambda''  = n2 / z^3
@@ -723,8 +731,10 @@ def _e6_g_parts(ts):
 
 def _e6_residue_checks(spec, rng):
     ts = [random_rational(rng, 9) for _ in range(6)]
-    if ts[0] == 0:
-        return None
+    return None if ts[0] == 0 else lambda: _e6_residues(ts)
+
+
+def _e6_residues(ts):
     big_r, gnum, gden = _e6_g_parts(ts)
     y0 = -ts[1] / (2 * ts[0])
     if big_r(y0) == 0:
@@ -745,6 +755,10 @@ def _e8_residue_checks(spec, rng):
     disc = 4 * ts[1] ** 2 - 12 * ts[0] * ts[2]
     if disc == 0 or is_square_fraction(disc):
         return None
+    return lambda: _e8_residues(ts, disc)
+
+
+def _e8_residues(ts, disc):
     big_r, gnum, gden = _e6_g_parts(ts)
     fld = RadicalField([disc])
     root = fld.sqrt_gen(0)
@@ -771,7 +785,10 @@ def _e8_residue_checks(spec, rng):
 def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
     """Re-run the printed residue computations on fresh exact parameter
     draws; every check is an exact zero test.  A degenerate draw is
-    redrawn like a degenerate sample point."""
+    redrawn like a degenerate sample point.  The draws come from one
+    random stream, so they are made here in stream order and computed
+    on forked workers (``algebra.draw_stream``), which send back only
+    each trial's name, residual string and pass flag."""
     residue_checks = FAMILIES[spec.kind].residue_checks
     if residue_checks is None:
         raise ValueError("no residue suite for the %s family" % spec.label)
@@ -779,141 +796,27 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
         command="verify-residues", n=spec.n, family=spec.label, seed=seed,
     )
     rng = random.Random("%s|%s|residues" % (seed, spec.label))
-    for _ in range(draws):
-        checks, draw = redraw(lambda: residue_checks(spec, rng), spec.label)
+
+    def trials(compute):
+        out = compute()
+        if out is None:
+            return None
+        checks, draw = out
         digest = point_digest((spec.label, draw))
-        for name, first, second in checks:
-            ok = _is_zero(first) and _is_zero(second)
-            report.add_trial(digest + ":" + name,
-                             "%s | %s" % (_res_str(first), _res_str(second)),
-                             ok)
+        return [(digest + ":" + name,
+                 "%s | %s" % (_res_str(first), _res_str(second)),
+                 _is_zero(first) and _is_zero(second))
+                for name, first, second in checks]
+
+    for draw_trials in draw_stream(lambda: residue_checks(spec, rng), trials,
+                                   draws, spec.label):
+        for trial in draw_trials:
+            report.add_trial(*trial)
     return report
 
 
 # ---------------------------------------------------------------------------
 # family-level verification suites
-
-
-def _worker_count(points):
-    """How many processes share a suite's points: this one and the
-    workers it forks, at most one per usable core.  A process that has
-    threads stays serial, because forking one is unsafe."""
-    if points < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return min(points, len(os.sched_getaffinity(0)))
-
-
-_collected_at = 0  # genus2._kept at the last collection before forking
-
-
-def _forked_map(fn, items):
-    """``[fn(x) for x in items]``, the items dealt round robin to this
-    process and to workers forked from it.  A worker inherits ``fn`` and
-    everything it reaches (a built DAG, mpmath's precision).  Each
-    process stops at its own first item that raises; the exception of
-    the lowest such item is raised here, as in the serial loop, and a
-    worker's with the worker's traceback as its cause.  A worker whose
-    first item comes after a failure already seen is killed unread, as
-    is every worker still running when this process leaves: all are
-    reaped before it does."""
-    global _collected_at
-    workers = _worker_count(len(items))
-    if workers < 2:
-        return [fn(x) for x in items]
-    import gc
-    import pickle
-    import signal
-
-    running = []  # (pid, read end of its pipe) per worker not yet reaped
-    # A full collection after a build keeps the peak RSS of a cold call
-    # down (without it, An(6) with three points peaked at 34.1 MB, not
-    # 31.9).  Its cost grows with the whole heap, 15-25 ms a call once
-    # a few n=4 DAGs are kept, and sampling and evaluation leave no
-    # cycles for it, so a suite call on a DAG kept before the last
-    # collection skips it.
-    if _collected_at != genus2._kept:
-        gc.collect()
-        _collected_at = genus2._kept
-    gc.freeze()  # so that no worker's collector writes to the shared heap
-    try:
-        for j in range(1, workers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _work(fn, items, range(j, len(items), workers), w)
-            os.close(w)
-            running.append((pid, open(r, "rb")))
-        gc.unfreeze()
-        share, failed = _share(fn, items, range(0, len(items), workers))
-        shares = [share]
-        # failed: (index, exception) of the lowest failing item so far; the
-        # next worker's first item is len(shares), and a later one's later
-        while running and (failed is None or failed[0] > len(shares)):
-            pid, fh = running[0]
-            with fh:
-                data = fh.read()
-            del running[0]
-            status = os.waitpid(pid, 0)[1]
-            if not data:
-                raise RuntimeError("suite worker %d ended with status %d and no result"
-                                   % (pid, os.waitstatus_to_exitcode(status)))
-            share, worker_failed = pickle.loads(data)
-            if worker_failed is not None and (failed is None
-                                              or worker_failed[0] < failed[0]):
-                k, exc, trace = worker_failed
-                exc.__cause__ = RuntimeError("in suite worker %d:\n%s" % (pid, trace))
-                failed = (k, exc)
-            shares.append(share)
-    finally:
-        gc.unfreeze()
-        for pid, fh in running:
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if failed is not None:
-        raise failed[1]
-    return [shares[k % workers][k // workers] for k in range(len(items))]
-
-
-def _share(fn, items, ks):
-    """``fn(items[k])`` for k in ``ks``, up to the first k that raises:
-    ``(results, None)``, or ``(results so far, (k, exception))``."""
-    out = []
-    for k in ks:
-        try:
-            out.append(fn(items[k]))
-        except Exception as exc:
-            return out, (k, exc)
-    return out, None
-
-
-def _work(fn, items, ks, w):
-    """A forked worker's whole life: write its pickled share, with its
-    first failure's ``(k, exception, traceback text)`` or None, to the
-    pipe end ``w``, then exit at once, so that it never returns into the
-    parent's code nor flushes the parent's buffers.  What cannot be
-    pickled is not written, and the parent sees a worker with no result."""
-    import pickle
-
-    try:
-        out, failed = _share(fn, items, ks)
-        if failed is not None:
-            import traceback
-
-            k, exc = failed
-            failed = (k, exc, "".join(traceback.format_exception(exc)))
-        data = pickle.dumps((out, failed))
-        with open(w, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(0)
 
 
 def _family_suite(command, spec, points, seed, precision, trials, **params):
@@ -922,7 +825,7 @@ def _family_suite(command, spec, points, seed, precision, trials, **params):
     pair per trial.  Sampling, the trials and their residual strings
     all run at precision + 64 bits, whatever the ambient precision.
     Each point depends only on its seed, so the points are shared out
-    among forked workers (``_forked_map``); their trials are reported
+    among forked workers (``algebra.forked_map``); their trials are reported
     in point order, and the report is the same for any worker count."""
     report = VerificationReport(
         command=command, n=spec.n, family=spec.label,
@@ -935,7 +838,7 @@ def _family_suite(command, spec, points, seed, precision, trials, **params):
         return [(digest, res, ok) for res, ok in trials(point)]
 
     with mpmath.workprec(precision + 64):
-        for point_rows in _forked_map(rows, range(points)):
+        for point_rows in forked_map(rows, range(points)):
             for row in point_rows:
                 report.add_trial(*row)
     return report

@@ -7,8 +7,11 @@ shipped as package data: the reference genus-two free energy
 generators, a fixed rational combination of the sixteen dual-graph
 contractions; ``check_decomposition`` verifies this at random exact
 points, ``solve_coefficients`` re-derives the sixteen constants from
-scratch, and ``check_relation`` evaluates the linear relation that the
-contractions satisfy on the distinguished families.
+scratch, and ``relation_expression`` builds the linear relation that
+the contractions satisfy on the distinguished families.
+``check_decomposition`` and ``solve_coefficients`` draw their points
+from one random stream in this process and evaluate them on forked
+workers (``algebra.draw_stream``), with the results of the serial loop.
 
 Building a DAG costs more than evaluating it, so ``f2_reference``,
 ``g2_function``, ``decomposition_residual``, ``relation_expression`` and
@@ -25,7 +28,9 @@ from importlib import resources
 from itertools import product
 from operator import itemgetter
 
-from .algebra import Algebra, EvalContext, ResampleNeeded, random_context, redraw
+from .algebra import (
+    Algebra, EvalContext, ResampleNeeded, draw_stream, kept_dag, random_context,
+)
 from .correlators import CorrelatorTable, h_function
 from .exact import row_reduce
 from .expr import (
@@ -197,7 +202,6 @@ class _TableBuilder:
 # the build cache
 
 _built = {}
-_kept = 0  # DAGs kept so far; a forked suite collects garbage when this moves
 
 
 def _build_once(kind, n, build):
@@ -207,13 +211,12 @@ def _build_once(kind, n, build):
     again.  Only the finished DAG is kept; the build's Algebra and
     CorrelatorTable, with their derive caches, are dropped when it
     returns."""
-    global _kept
     key = (kind, n)
     out = _built.get(key)
     if out is None:
         out = _built[key] = build(Algebra(n))
         keep_schedule(out)
-        _kept += 1
+        kept_dag()
     return out
 
 
@@ -270,28 +273,38 @@ def _decomposition(alg):
     return add(*parts)
 
 
-def _generic_point(n, rng, expressions):
-    """A random exact point and the values of ``expressions`` there; a
-    point where one of them hits a vanishing denominator is redrawn."""
-    def draw():
-        ctx = random_context(n, rng)
+def _generic_rows(n, rng, expressions, count, row):
+    """``row(ctx, values)`` at ``count`` random exact points ``ctx``, the
+    values of ``expressions`` there; a point where one of them hits a
+    vanishing denominator is redrawn.  The points are drawn from ``rng``
+    here and evaluated on forked workers (``algebra.draw_stream``); each
+    point's evaluation cache is dropped once its row is made."""
+    def compute(ctx):
         try:
-            return ctx, [ctx.evaluate(e) for e in expressions]
+            values = [ctx.evaluate(e) for e in expressions]
         except ResampleNeeded:
             return None
+        finally:
+            ctx.cache = {}
+        return row(ctx, values)
 
-    return redraw(draw, "generic point, n=%d" % n)
+    return draw_stream(lambda: random_context(n, rng), compute, count,
+                       "generic point, n=%d" % n)
+
+
+def _decomposition_row(ctx, values):
+    (val,) = values
+    digest = point_digest((ctx.us, ctx.hs, sorted(ctx.gammas.items()),
+                           sorted(ctx.jets.items())))
+    return digest, str(val), val == 0
 
 
 def check_decomposition(n, trials=20, seed=DEFAULT_SEED):
     res = decomposition_residual(Algebra(n))
     report = VerificationReport(command="verify-decomposition", n=n, seed=seed)
     rng = random.Random(seed)
-    for _ in range(trials):
-        ctx, (val,) = _generic_point(n, rng, [res])
-        digest = point_digest((ctx.us, ctx.hs, sorted(ctx.gammas.items()),
-                               sorted(ctx.jets.items())))
-        report.add_trial(digest, str(val), val == 0)
+    for trial in _generic_rows(n, rng, [res], trials, _decomposition_row):
+        report.add_trial(*trial)
     return report
 
 
@@ -314,8 +327,8 @@ def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
     names = ["Q%d" % p for p in range(1, 17)]
     cols = [graph_function(builtin(nm), table) for nm in names]
     target = add(f2_reference(alg), neg(g2_function(alg)))
-    rng = random.Random(seed)
-    rows = [_generic_point(n, rng, cols + [target])[1] for _ in range(samples)]
+    rows = _generic_rows(n, random.Random(seed), cols + [target], samples,
+                         lambda ctx, values: values)
     _, pivots, reduced = row_reduce(rows)
     if pivots != list(range(16)):
         rank = len([col for col in pivots if col < 16])

@@ -17,7 +17,11 @@ from frobg2 import genus2
 from frobg2.algebra import Algebra
 from frobg2.correlators import CorrelatorTable
 from frobg2.exact import (
+    MAX_POLE_ORDER,
+    NonConvergenceError,
     Poly,
+    _is_zero,
+    _laurent_tail,
     poly_gcd,
     poly_roots,
     residue,
@@ -129,6 +133,72 @@ class TestResidue:
             got = residue(num, den, a)
             assert abs(got - 1 / (a + 1)) < mpmath.mpf(2) ** -200
 
+    @pytest.mark.parametrize("at", [F(2), mpmath.mpf(2)], ids=["exact", "mpf"])
+    def test_zero_denominator_raises(self, at):
+        num = Poly([F(1), F(1)])
+        with pytest.raises(ZeroDivisionError):
+            residue(num, Poly([]), at)
+        with pytest.raises(ZeroDivisionError):
+            residue_at_infinity(num, Poly([]))
+
+
+def _full_shift_residue(num, den, at):
+    """The residue from the whole shifted numerator and denominator."""
+    dc = den.shift(at).coeffs
+    m = next(k for k, c in enumerate(dc) if not _is_zero(c))
+    if m > MAX_POLE_ORDER:
+        raise NonConvergenceError("pole order %d" % m)
+    if m == 0:
+        return at * 0
+    return _laurent_tail(num.shift(at).coeffs, dc[m:], m, at * 0)
+
+
+class TestTruncatedShift:
+    """An exact residue shifts only the coefficients it reads; its value
+    is the one the whole shift gives."""
+
+    K = RadicalField([F(2), F(3)])
+
+    @classmethod
+    def _scalar(cls, rng, radical):
+        q = F(rng.randint(-9, 9), rng.randint(1, 5))
+        if not radical:
+            return q
+        s2, s3 = cls.K.sqrt_gen(0), cls.K.sqrt_gen(1)
+        return cls.K.rational(q) + F(rng.randint(-3, 3)) * s2 + F(rng.randint(-3, 3)) * s3 * s2
+
+    def _case(self, rng, radical, order):
+        """num/den over the scalars, with a pole of ``order`` at the point."""
+        at = self._scalar(rng, radical)
+        one = at * 0 + 1
+        while True:
+            rest = Poly([self._scalar(rng, radical) for _ in range(rng.randint(1, 6))])
+            if not rest.is_zero() and not _is_zero(rest(at)):
+                break
+        den = rest
+        for _ in range(order):
+            den = den * Poly([-at, one])
+        num = Poly([self._scalar(rng, radical) for _ in range(rng.randint(0, 10))])
+        return num, den, at
+
+    @pytest.mark.parametrize("radical", [False, True], ids=["fraction", "radical"])
+    def test_equals_full_shift(self, radical):
+        rng = random.Random(23)
+        for order in range(MAX_POLE_ORDER + 1):
+            for _ in range(3):
+                num, den, at = self._case(rng, radical, order)
+                got = residue(num, den, at)
+                assert got == _full_shift_residue(num, den, at)
+                assert type(got) is type(at)
+
+    @pytest.mark.parametrize("radical", [False, True], ids=["fraction", "radical"])
+    def test_order_over_cap_raises(self, radical):
+        num, den, at = self._case(random.Random(29), radical, MAX_POLE_ORDER + 1)
+        with pytest.raises(NonConvergenceError):
+            _full_shift_residue(num, den, at)
+        with pytest.raises(NonConvergenceError, match="pole order 9 exceeds cap 8"):
+            residue(num, den, at)
+
 
 class TestResultant:
     def test_known(self):
@@ -224,7 +294,7 @@ class TestRowReduce:
         table = CorrelatorTable(Algebra(1))
         cols = [graph_function(builtin("Q%d" % p), table) for p in range(1, 17)]
         rng = random.Random(DEFAULT_SEED)
-        rows = [genus2._generic_point(1, rng, cols)[1] for _ in range(32)]
+        rows = genus2._generic_rows(1, rng, cols, 32, lambda ctx, values: values)
         assert row_reduce(rows)[0] == 3
 
 

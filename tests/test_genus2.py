@@ -150,29 +150,27 @@ class TestSolve:
     def test_singular_system_is_reported_first(self, monkeypatch):
         # Q2's column replaced by Q1's: coefficient rank 15, and the
         # right-hand side then leaves the span too, so both failures show
-        sample = genus2._generic_point
+        sample = genus2._generic_rows
 
-        def copy_q1_into_q2(n, rng, expressions):
-            ctx, values = sample(n, rng, expressions)
-            values[1] = values[0]
-            return ctx, values
+        def copy_q1_into_q2(n, rng, expressions, count, row):
+            rows = sample(n, rng, expressions, count, row)
+            for values in rows:
+                values[1] = values[0]
+            return rows
 
-        monkeypatch.setattr(genus2, "_generic_point", copy_q1_into_q2)
+        monkeypatch.setattr(genus2, "_generic_rows", copy_q1_into_q2)
         with pytest.raises(RuntimeError, match="singular: coefficient rank 15 of 16"):
             solve_coefficients(2)
 
     def test_inconsistent_system_is_reported(self, monkeypatch):
-        sample = genus2._generic_point
-        moved = []
+        sample = genus2._generic_rows
 
-        def move_one_rhs(n, rng, expressions):
-            ctx, values = sample(n, rng, expressions)
-            if not moved:
-                values[-1] += 1
-                moved.append(True)
-            return ctx, values
+        def move_one_rhs(n, rng, expressions, count, row):
+            rows = sample(n, rng, expressions, count, row)
+            rows[0][-1] += 1
+            return rows
 
-        monkeypatch.setattr(genus2, "_generic_point", move_one_rhs)
+        monkeypatch.setattr(genus2, "_generic_rows", move_one_rhs)
         with pytest.raises(RuntimeError, match="inconsistent: coefficient rank 16 of 16"):
             solve_coefficients(2)
 
