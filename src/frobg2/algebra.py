@@ -370,24 +370,31 @@ def _work(fn, items, ks, w):
 
 
 class EvalContext:
-    """Assignment of scalars to the generators of one dimension-n point.
+    """Assignment of scalars to the generators of one dimension-n point,
+    and the kernel that evaluates expressions there (``expr.evaluate``).
 
     ``us``, ``hs`` are 1-based lists; ``gammas`` maps (i, j) with i < j;
     ``jets`` maps (i, p).  Scalars may be Fraction, RadicalElem or mpmath
-    numbers.  A numeric context records the largest addend magnitude in
-    ``stats.max_mag`` for the relative tolerance; an exact one (mode
-    ``"exact"``) compares with zero and keeps no stats (``stats`` is None).
+    numbers.  ``kernel.passes(value)`` says whether a value counts as
+    zero: exactly, with ``expr.EXACT`` (the default), or relative to the
+    largest addend this context evaluated, with its own numeric kernel.
     """
 
-    def __init__(self, n, us, hs, gammas, jets, mode="exact"):
+    def __init__(self, n, us, hs, gammas, jets, kernel=ex.EXACT):
         self.n = n
         self.us = us
         self.hs = hs
         self.gammas = gammas
         self.jets = jets
-        self.mode = mode
+        self.kernel = kernel
         self.cache = {}
-        self.stats = None if mode == "exact" else ex.EvalStats()
+
+    # "exact" or "numeric"; perfbench/tracer.py tags evaluations by it
+    mode = property(lambda self: self.kernel.name)
+
+    def with_jets(self, jets):
+        """The same point with other jets, and a fresh kernel of this one's kind."""
+        return EvalContext(self.n, self.us, self.hs, self.gammas, jets, self.kernel.fresh())
 
     def gen_value(self, args):
         kind, i, p = args
@@ -404,7 +411,7 @@ class EvalContext:
 
     def evaluate(self, e):
         try:
-            return ex.evaluate(e, self.gen_value, self.cache, self.stats)
+            return ex.evaluate(e, self.gen_value, self.cache, self.kernel)
         except ZeroDivisionError as exc:
             raise ResampleNeeded(str(exc)) from exc
 

@@ -193,19 +193,6 @@ class CorrelatorTable:
         self._g_grad[i] = out
         return out
 
-    def g_gradient_christoffel_form(self, i):
-        """Same gradient via Gamma_ki = Gamma^k_{ki}; equals g_gradient."""
-        alg = self.alg
-        terms = []
-        for k in alg.indices():
-            if k == i:
-                continue
-            gki = alg.christoffel(k, k, i)
-            gik = alg.christoffel(i, i, k)
-            terms.append(mul(const("1/2"), sub(u(i), u(k)), gki, gik))
-            terms.append(mul(const("-1/24"), sub(gki, gik)))
-        return add(*terms) if terms else ZERO
-
     def edge_weight(self, j):
         out = self._edge.get(j)
         if out is None:

@@ -211,34 +211,27 @@ def _laurent_tail(ns, ds, order, zero):
 
 
 def residue(num, den, location):
-    """Residue of num/den at a finite location.
+    """Residue of num/den at a finite, exact location.
 
     Returns 0 (in the scalar type of ``location``) when the location is
-    not actually a pole.  Pole order is capped at MAX_POLE_ORDER.  At an
-    mpmath ``mpf``/``mpc`` location, shifted denominator coefficients
-    at most 2^(-3/4 of the working precision) times the largest one count
-    as zero when detecting the pole order.  The shift runs only as far
-    as the residue reads it, pass k of the synthetic division finishing
-    coefficient k: m coefficients of the numerator, m the pole order,
-    and at an exact location 2m of the denominator.  The cut at an
-    mpmath location reads every denominator coefficient.
+    not actually a pole.  Pole order is capped at MAX_POLE_ORDER.  The
+    shift runs only as far as the residue reads it, pass k of the
+    synthetic division finishing coefficient k: m coefficients of the
+    numerator and 2m of the denominator, m the pole order.  An mpmath
+    location raises TypeError: the pole order is read off exact zeros.
     """
     if den.is_zero():
         raise ZeroDivisionError("residue of a quotient by the zero polynomial")
+    if isinstance(location, (mpmath.mpf, mpmath.mpc)):
+        raise TypeError("residue at an inexact location %r" % (location,))
     zero = location * 0
     shifted = _shifted(den.coeffs, location)
-    if isinstance(location, (mpmath.mpf, mpmath.mpc)):
-        dc = list(shifted)  # the cut reads every coefficient
-        tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
-        cut = max(abs(c) for c in dc) * tol
-        m = next(k for k, c in enumerate(dc) if abs(c) > cut)
-    else:
-        dc = []
-        for c in shifted:  # the shift keeps the leading coefficient nonzero
-            dc.append(c)
-            if not _is_zero(c):
-                break
-        m = len(dc) - 1
+    dc = []
+    for c in shifted:  # the shift keeps the leading coefficient nonzero
+        dc.append(c)
+        if not _is_zero(c):
+            break
+    m = len(dc) - 1
     if m == 0:
         return zero
     if m > MAX_POLE_ORDER:

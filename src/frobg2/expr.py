@@ -18,14 +18,16 @@ across processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, gcd, isinf
+from math import frexp, gcd, isfinite, isinf
 from operator import attrgetter
 from weakref import WeakValueDictionary
 
 import mpmath
 from mpmath.libmp import fzero
 
+from .exact import _is_zero
 from .radicals import RadicalElem
+from .report import relative_tolerance
 
 OP_CONST = 0
 OP_GEN = 1
@@ -293,7 +295,7 @@ def derive(e, leaf_rule, cache):
 
 
 # ---------------------------------------------------------------------------
-# traversal, evaluation
+# traversal, evaluation: one loop, an exact and a numeric kernel
 
 
 def _postorder(e):
@@ -346,8 +348,8 @@ _MP_TYPES = frozenset(mpmath.mp.types)
 
 
 class EvalStats:
-    """Collects the largest magnitude seen among addends (numeric runs);
-    an addend beyond the float range reads as inf.
+    """Collects the largest magnitude seen among addends, which scales
+    the numeric kernel's tolerance; one beyond the float range reads inf.
 
     ``max_mag`` is exactly the largest ``float(abs(v))`` noted.  An mpc
     addend whose binary exponents put it below ``2 ** _below``, which is
@@ -387,36 +389,70 @@ class EvalStats:
             self._below = None if isinf(m) else frexp(m)[1] - 1
 
 
-def _fold(node, cache, stats, converted):
-    """Left-to-right sum or product of a node's operands on a numeric
-    point.  A Fraction operand that meets an mpmath value is converted
-    once per evaluation (``converted``) instead of once per use inside
-    mpmath's operators; the arithmetic and its rounding are the same.
-    Fraction with Fraction stays exact."""
-    is_add = node.op == OP_ADD
-    args = node.args
-    v = cache[args[0]]
-    if is_add:
-        stats.note(v)
-    # the node whose exact value v still is, while v is an unconverted Fraction
-    pending = args[0] if type(v) is Fraction else None
-    for c in args[1:]:
-        cv = cache[c]
+class NumericKernel(EvalStats):
+    """Scalars as they are, mpmath numbers at each call's working
+    precision.  A value passes below the relative tolerance at
+    ``precision`` bits of the largest addend noted (``max_mag``), so one
+    kernel serves one context, whose evaluations all note into it."""
+
+    __slots__ = ("precision",)
+    name = "numeric"
+    const = gen = scalar = staticmethod(lambda v: v)
+
+    def __init__(self, precision):
+        super().__init__()
+        self.precision = precision
+
+    def fresh(self):
+        return NumericKernel(self.precision)
+
+    def passes(self, v):
+        return _residual_ok(v, self.precision, self.max_mag)
+
+    @staticmethod
+    def power(node, cache):
+        b, k = node.args
+        return cache[b] ** k
+
+    def fold(self, node, cache, converted):
+        """Left-to-right sum or product of a node's operands.  A Fraction
+        that meets an mpmath value is converted once per evaluate call
+        (``converted``), not on every use inside mpmath's operators, to
+        the same rounding; Fraction with Fraction stays exact."""
+        is_add = node.op == OP_ADD
+        args = node.args
+        v = cache[args[0]]
         if is_add:
-            stats.note(cv)
-        if type(cv) is Fraction:
-            if type(v) in _MP_TYPES:
-                cv = _converted(c, cv, converted)
-        elif pending is not None and type(cv) in _MP_TYPES:
-            # Fraction op mpmath dispatches to the mpmath operand's
-            # reflected operator, which computes cv op convert(v)
-            q = _converted(pending, v, converted)
-            v = cv + q if is_add else cv * q
+            self.note(v)
+        # the node whose exact value v still is, while v is an unconverted Fraction
+        pending = args[0] if type(v) is Fraction else None
+        for c in args[1:]:
+            cv = cache[c]
+            if is_add:
+                self.note(cv)
+            if type(cv) is Fraction:
+                if type(v) in _MP_TYPES:
+                    cv = _converted(c, cv, converted)
+            elif pending is not None and type(cv) in _MP_TYPES:
+                # Fraction op mpmath dispatches to the mpmath operand's
+                # reflected operator, which computes cv op convert(v)
+                q = _converted(pending, v, converted)
+                v = cv + q if is_add else cv * q
+                pending = None
+                continue
+            v = v + cv if is_add else v * cv
             pending = None
-            continue
-        v = v + cv if is_add else v * cv
-        pending = None
-    return v
+        return v
+
+
+def _residual_ok(val, precision, scale=1):
+    """|val| <= tol * max(1, |scale|).  A residual or scale that is not a
+    finite float (inf, nan, or beyond the float range) fails."""
+    res = float(abs(val))
+    base = float(abs(scale))
+    if not (isfinite(res) and isfinite(base)):
+        return False
+    return res <= relative_tolerance(precision) * max(1.0, base)
 
 
 def _converted(node, q, converted):
@@ -426,38 +462,8 @@ def _converted(node, q, converted):
     return m
 
 
-def evaluate(e, gen_value, cache=None, stats=None):
-    """Evaluate the DAG.  ``gen_value`` maps (kind, i, p) to a scalar,
-    ``cache`` is a per-point memo shared across expressions.  With
-    ``stats`` (numeric points) the addend magnitudes are noted in it;
-    without, the exact kernel runs and ``cache`` holds kernel values
-    (see ``_evaluate_exact``), not scalars.  A DAG given to
-    ``keep_schedule`` is evaluated in its kept order, any other is walked
-    afresh; a node already in ``cache`` is skipped either way."""
-    if cache is None:
-        cache = {}
-    if stats is None:
-        return _from_kernel(_evaluate_exact(e, gen_value, cache))
-    converted = {}
-    for node in _schedule(e):
-        if node in cache:
-            continue
-        op = node.op
-        if op == OP_CONST:
-            v = node.args[0]
-        elif op == OP_GEN:
-            v = gen_value(node.args)
-        elif op == OP_POW:
-            b, k = node.args
-            v = cache[b] ** k
-        else:
-            v = _fold(node, cache, stats, converted)
-        cache[node] = v
-    return cache[e]
-
-
 # ---------------------------------------------------------------------------
-# exact evaluation kernel
+# exact kernel
 #
 # A Fraction is held as (None, 0, num, den) and a RadicalElem of at most
 # one term as (field, mask, num, den), zero as (field, 0, 0, 1), with
@@ -510,77 +516,106 @@ def _by_operators(node, cache):
     return _to_kernel(v)
 
 
-def _evaluate_exact(e, gen_value, cache):
-    """The kernel value of e; fills ``cache`` with kernel values."""
+class ExactKernel:
+    """Fraction and RadicalElem scalars on integer pairs (see above); a
+    value passes when it is exactly zero.  Stateless: contexts share ``EXACT``."""
+
+    __slots__ = ()
+    name = "exact"
+    const = gen = staticmethod(_to_kernel)
+    scalar = staticmethod(_from_kernel)
+    passes = staticmethod(_is_zero)
+
+    def fresh(self):
+        return self
+
+    @staticmethod
+    def power(node, cache):
+        b, k = node.args
+        v = cache[b]
+        # a zero base to a negative power raises in the operators
+        if type(v) is tuple and not v[1] and (v[2] or k >= 0):
+            f, _, n, d = v
+            if k < 0:
+                n, d, k = d, n, -k
+            return (f, 0, n ** k, d ** k)
+        return _by_operators(node, cache)
+
+    @staticmethod
+    def fold(node, cache, memo):
+        is_add = node.op == OP_ADD
+        it = iter(node.args)
+        v = cache[next(it)]
+        if type(v) is tuple:
+            f, m, n, d = v
+            for c in it:
+                w = cache[c]
+                if type(w) is not tuple:
+                    break
+                g, m2, n2, d2 = w
+                if g is not f:
+                    if f is None:
+                        f = g
+                    elif g is not None:
+                        break  # two fields: the operators raise
+                if is_add:
+                    if m2 != m:
+                        if not n2:
+                            continue
+                        if n:
+                            break  # two masks: the coefficient order is the operators'
+                        m = m2
+                    if d2 == d:
+                        n += n2
+                    else:
+                        n = n * d2 + n2 * d
+                        d *= d2
+                else:
+                    if m & m2:
+                        q = f.shared(m & m2)
+                        n *= q.numerator
+                        d *= q.denominator
+                    n *= n2
+                    d *= d2
+                    m ^= m2
+            else:
+                if not n:
+                    return (f, 0, 0, 1)
+                g = gcd(n, d)
+                if g != 1:
+                    n //= g
+                    d //= g
+                return (f, m, n, d)
+        return _by_operators(node, cache)
+
+
+EXACT = ExactKernel()
+
+
+def evaluate(e, gen_value, cache=None, kernel=EXACT):
+    """The value of e at a point, whatever the kernel.  ``gen_value``
+    maps (kind, i, p) to a scalar, ``cache`` is a per-point memo of
+    kernel values shared across expressions; ``memo`` is the kernel's,
+    for this call only.  A DAG given to ``keep_schedule`` is evaluated in
+    its kept order, any other is walked afresh; a node already in
+    ``cache`` is skipped either way."""
+    if cache is None:
+        cache = {}
+    const, gen, power, fold = kernel.const, kernel.gen, kernel.power, kernel.fold
+    memo = {}
     for node in _schedule(e):
         if node in cache:
             continue
         op = node.op
         if op == OP_CONST:
-            q = node.args[0]
-            cache[node] = (None, 0, q.numerator, q.denominator)
-            continue
-        if op == OP_GEN:
-            cache[node] = _to_kernel(gen_value(node.args))
-            continue
-        if op == OP_POW:
-            b, k = node.args
-            v = cache[b]
-            # a zero base to a negative power raises in the operators
-            if type(v) is tuple and not v[1] and (v[2] or k >= 0):
-                f, _, n, d = v
-                if k < 0:
-                    n, d, k = d, n, -k
-                cache[node] = (f, 0, n ** k, d ** k)
-                continue
+            cache[node] = const(node.args[0])
+        elif op == OP_GEN:
+            cache[node] = gen(gen_value(node.args))
+        elif op == OP_POW:
+            cache[node] = power(node, cache)
         else:
-            is_add = op == OP_ADD
-            it = iter(node.args)
-            v = cache[next(it)]
-            if type(v) is tuple:
-                f, m, n, d = v
-                for c in it:
-                    w = cache[c]
-                    if type(w) is not tuple:
-                        break
-                    g, m2, n2, d2 = w
-                    if g is not f:
-                        if f is None:
-                            f = g
-                        elif g is not None:
-                            break  # two fields: the operators raise
-                    if is_add:
-                        if m2 != m:
-                            if not n2:
-                                continue
-                            if n:
-                                break  # two masks: the coefficient order is the operators'
-                            m = m2
-                        if d2 == d:
-                            n += n2
-                        else:
-                            n = n * d2 + n2 * d
-                            d *= d2
-                    else:
-                        if m & m2:
-                            q = f.shared(m & m2)
-                            n *= q.numerator
-                            d *= q.denominator
-                        n *= n2
-                        d *= d2
-                        m ^= m2
-                else:
-                    if n:
-                        g = gcd(n, d)
-                        if g != 1:
-                            n //= g
-                            d //= g
-                        cache[node] = (f, m, n, d)
-                    else:
-                        cache[node] = (f, 0, 0, 1)
-                    continue
-        cache[node] = _by_operators(node, cache)
-    return cache[e]
+            cache[node] = fold(node, cache, memo)
+    return kernel.scalar(cache[e])
 
 
 # ---------------------------------------------------------------------------

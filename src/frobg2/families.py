@@ -29,7 +29,6 @@ no other code branches on the kind.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +58,7 @@ from .exact import (
     residue,
     residue_at_infinity,
 )
+from .expr import EXACT, NumericKernel, _residual_ok
 from .genus2 import g2_function, o_difference_graphs, relation_expression
 from .radicals import RadicalElem, RadicalField, is_square_fraction, radical_tower
 from .report import (
@@ -66,7 +66,6 @@ from .report import (
     DEFAULT_SEED,
     VerificationReport,
     point_digest,
-    relative_tolerance,
 )
 
 # ---------------------------------------------------------------------------
@@ -141,13 +140,13 @@ class SamplePoint:
     hs: list
     gammas: dict
     jets: dict
-    mode: str  # "exact" or "numeric", the EvalContext mode
+    kernel: object  # each context evaluates with a fresh kernel of its kind
     draw: tuple  # the sampler's raw draw, hashed by digest()
     internal: dict = field(default_factory=dict)
 
     def context(self):
         return EvalContext(self.n, self.us, self.hs, self.gammas, self.jets,
-                           mode=self.mode)
+                           self.kernel.fresh())
 
     def digest(self):
         return point_digest(self.draw)
@@ -494,7 +493,8 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
     return SamplePoint(
         n=spec.n, us=data.pop("us"), hs=data.pop("hs"), gammas=data.pop("gammas"),
         jets=random_jets(rng, spec.n, 50),
-        mode="exact" if spec.exact else "numeric", draw=data.pop("draw"),
+        kernel=EXACT if spec.exact else NumericKernel(precision),
+        draw=data.pop("draw"),
         internal=data,  # what is left: the family's own parameters
     )
 
@@ -506,28 +506,6 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
 def closed_form_o_difference(spec):
     """The family's O1 - O2 value as an exact rational."""
     return FAMILIES[spec.kind].o_difference(spec)
-
-
-# ---------------------------------------------------------------------------
-# numeric comparison helpers
-
-
-def _residual_ok(val, precision, scale=1):
-    """|val| <= tol * max(1, |scale|).  A residual or scale that is not a
-    finite float (inf, nan, or beyond the float range) fails."""
-    res = float(abs(val))
-    base = float(abs(scale))
-    if not (math.isfinite(res) and math.isfinite(base)):
-        return False
-    return res <= relative_tolerance(precision) * max(1.0, base)
-
-
-def _zero_ok(val, spec, precision, ctx):
-    """An exact zero on the exact families; on the numeric ones, below
-    the tolerance relative to the largest addend ``ctx`` evaluated."""
-    if spec.exact:
-        return _is_zero(val)
-    return _residual_ok(val, precision, ctx.stats.max_mag)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +578,7 @@ def _gradient_trials(spec, precision):
         ctx = point.context()
         grads = [ctx.evaluate(e) for e in exprs]
         if family.ade:
-            return [(_res_str(val), _zero_ok(val, spec, precision, ctx))
-                    for val in grads]
+            return [(_res_str(val), ctx.kernel.passes(val)) for val in grads]
         scale = family.log_scale(spec)
         eta = point.internal["eta"]
         logt = _log_tn_gradient(spec, point)
@@ -609,8 +586,7 @@ def _gradient_trials(spec, precision):
         for i, val in enumerate(grads):
             res1 = val - eta[i] / 24
             res2 = logt[i] + scale * eta[i]
-            ok = (_residual_ok(res1, precision, ctx.stats.max_mag)
-                  and _residual_ok(res2, precision, eta[i]))
+            ok = ctx.kernel.passes(res1) and _residual_ok(res2, precision, eta[i])
             out.append((_res_str(max(abs(res1), abs(res2))), ok))
         return out
 
@@ -844,14 +820,14 @@ def _family_suite(command, spec, points, seed, precision, trials, **params):
     return report
 
 
-def _evaluates_to(build, spec, precision, want=Fraction(0)):
+def _evaluates_to(build, spec, want=Fraction(0)):
     """Trials that the DAG ``build`` makes at n evaluates to ``want``."""
     expr = build(Algebra(spec.n))
 
     def trials(point):
         ctx = point.context()
         val = ctx.evaluate(expr) - want
-        return [(_res_str(val), _zero_ok(val, spec, precision, ctx))]
+        return [(_res_str(val), ctx.kernel.passes(val))]
 
     return trials
 
@@ -862,7 +838,7 @@ def g2_vanishing_check(spec, points=3, seed=DEFAULT_SEED,
     exactly on the exact families, below the relative tolerance on the
     numeric ones."""
     return _family_suite("verify-g2", spec, points, seed, precision,
-                         _evaluates_to(g2_function, spec, precision))
+                         _evaluates_to(g2_function, spec))
 
 
 def relation_family_check(spec, points=3, seed=DEFAULT_SEED,
@@ -871,7 +847,7 @@ def relation_family_check(spec, points=3, seed=DEFAULT_SEED,
     points (it equals the second x-derivative of O1 - O2, which is a
     constant on every family)."""
     return _family_suite("verify-relation", spec, points, seed, precision,
-                         _evaluates_to(relation_expression, spec, precision))
+                         _evaluates_to(relation_expression, spec))
 
 
 def o_difference_check(spec, points=3, seed=DEFAULT_SEED,
@@ -880,7 +856,7 @@ def o_difference_check(spec, points=3, seed=DEFAULT_SEED,
     family's closed-form value."""
     want = closed_form_o_difference(spec)
     return _family_suite("compute-odiff", spec, points, seed, precision,
-                         _evaluates_to(o_difference_graphs, spec, precision, want),
+                         _evaluates_to(o_difference_graphs, spec, want),
                          closed_form=str(want))
 
 

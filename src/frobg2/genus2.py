@@ -29,7 +29,7 @@ from itertools import product
 from operator import itemgetter
 
 from .algebra import (
-    Algebra, EvalContext, ResampleNeeded, draw_stream, kept_dag, random_context,
+    Algebra, ResampleNeeded, draw_stream, kept_dag, random_context,
 )
 from .correlators import CorrelatorTable, h_function
 from .exact import row_reduce
@@ -296,7 +296,7 @@ def _decomposition_row(ctx, values):
     (val,) = values
     digest = point_digest((ctx.us, ctx.hs, sorted(ctx.gammas.items()),
                            sorted(ctx.jets.items())))
-    return digest, str(val), val == 0
+    return digest, str(val), ctx.kernel.passes(val)
 
 
 def check_decomposition(n, trials=20, seed=DEFAULT_SEED):
@@ -435,5 +435,4 @@ def g2_small_phase(alg, ctx):
     for i in alg.indices():
         jets[(i, 1)] = Fraction(1)
         jets[(i, 2)] = Fraction(0)
-    flat = EvalContext(ctx.n, ctx.us, ctx.hs, ctx.gammas, jets, mode=ctx.mode)
-    return flat.evaluate(g2_function(alg))
+    return ctx.with_jets(jets).evaluate(g2_function(alg))

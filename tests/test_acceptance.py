@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from frobg2.algebra import Algebra, EvalContext, random_context
+from frobg2.algebra import Algebra, random_context
 from frobg2.correlators import CorrelatorTable
 from frobg2.exact import Poly, poly_roots, residue, residue_at_infinity
 from frobg2.expr import add, const, mul, neg, sub
@@ -271,7 +271,7 @@ class TestTwoDimCriterion:
                                precision=NUMERIC_PRECISION)
                 ctx = point.context()
                 val = ctx.evaluate(diff)
-                scale = max(ctx.stats.max_mag, 1.0)
+                scale = max(ctx.kernel.max_mag, 1.0)
                 assert abs(val) < NUMERIC_TOL * scale
 
 
@@ -323,7 +323,7 @@ class TestKernelProperties:
         ctx = random_context(2, rng)
         eps = Fraction(5, 2)
         jets = {(i, p): eps ** p * v for (i, p), v in ctx.jets.items()}
-        scaled = EvalContext(2, ctx.us, ctx.hs, ctx.gammas, jets)
+        scaled = ctx.with_jets(jets)
         for term in _F2_DATA["terms"]:
             parts = []
             idx = [1] * term["s"]

@@ -123,16 +123,17 @@ class TestRules:
         # exact points keep no magnitude stats, so a constant above the
         # float range evaluates exactly instead of overflowing
         ctx = random_context(2, random.Random(1))
-        assert ctx.stats is None
+        assert ctx.kernel is ex.EXACT
         got = ctx.evaluate(add(ex.const(10**400), u(1)))
         assert got == 10**400 + ctx.us[0]
         assert isinstance(got, Fraction)
 
     def test_numeric_stats_overflow_reads_inf(self):
         ctx = EvalContext(1, [mpmath.mpf(1)], [mpmath.mpf(1)], {}, {},
-                          mode="numeric")
+                          ex.NumericKernel(256))
         ctx.evaluate(add(ex.const(10**400), u(1)))
-        assert ctx.stats.max_mag == float("inf")
+        assert ctx.kernel.max_mag == float("inf")
+        assert not ctx.kernel.passes(mpmath.mpf(0))
 
 
 class TestParametrizedOracle:
@@ -177,7 +178,7 @@ class TestParametrizedOracle:
                 [mpmath.mpc(num["h1"]), mpmath.mpc(num["h2"])],
                 {(1, 2): mpmath.mpc(num["g12"])},
                 {(i, p): mpmath.mpf(1) for i in (1, 2) for p in (1, 2)},
-                mode="numeric",
+                ex.NumericKernel(256),
             )
             checks = [
                 (h(1), h1), (h(2), h2), (gamma(1, 2), g12),

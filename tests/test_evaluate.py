@@ -88,7 +88,7 @@ class TestNumericEvaluation:
                     got = ctx.evaluate(e)
                     want = _reference_evaluate(e, ctx.gen_value, ref_cache, ref_stats)
                     assert got._mpc_ == want._mpc_
-                    assert ctx.stats.max_mag == ref_stats.max_mag
+                    assert ctx.kernel.max_mag == ref_stats.max_mag
             assert ref_stats.max_mag > 1  # the filter had a maximum to work against
 
     def test_fraction_meets_mpmath_both_sides(self):
@@ -109,7 +109,7 @@ class TestNumericEvaluation:
         ]
         for e in terms:
             with mpmath.workprec(200):
-                stats, ref = ex.EvalStats(), _ReferenceStats()
+                stats, ref = ex.NumericKernel(256), _ReferenceStats()
                 got = ex.evaluate(e, values.__getitem__, {}, stats)
                 want = _reference_evaluate(e, values.__getitem__, {}, ref)
             assert type(got) is type(want)

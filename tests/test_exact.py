@@ -125,13 +125,14 @@ class TestResidue:
             total += residue_at_infinity(num, den)
             assert total == 0
 
-    def test_numeric_pole(self):
-        with mpmath.workprec(256):
-            a = mpmath.mpf(1) / 3
-            num = Poly([mpmath.mpf(1)])
-            den = Poly([-a, mpmath.mpf(1)]) * Poly([mpmath.mpf(1), mpmath.mpf(1)])
-            got = residue(num, den, a)
-            assert abs(got - 1 / (a + 1)) < mpmath.mpf(2) ** -200
+    @pytest.mark.parametrize("at", [mpmath.mpf(1) / 3, mpmath.mpc(1, 2)], ids=["mpf", "mpc"])
+    def test_inexact_location_raises(self, at):
+        # the pole order is read off exact zeros, which an mpmath shift
+        # does not make
+        num = Poly([F(1)])
+        den = Poly([-at, F(1)]) * Poly([F(1), F(1)])
+        with pytest.raises(TypeError):
+            residue(num, den, at)
 
     @pytest.mark.parametrize("at", [F(2), mpmath.mpf(2)], ids=["exact", "mpf"])
     def test_zero_denominator_raises(self, at):

@@ -280,10 +280,10 @@ class TestODifference:
         ctx = point.context()
         first = ctx.evaluate(expr)
         rng = random.Random(99)
-        from frobg2.algebra import EvalContext, random_rational
+        from frobg2.algebra import random_rational
         jets = {k: random_rational(rng, 40) or Fraction(1)
                 for k in point.jets}
-        rejet = EvalContext(3, point.us, point.hs, point.gammas, jets)
+        rejet = ctx.with_jets(jets)
         assert rejet.evaluate(expr) == first
 
 

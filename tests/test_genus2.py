@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from frobg2 import genus2
-from frobg2.algebra import Algebra, EvalContext, random_context
+from frobg2.algebra import Algebra, random_context
 from frobg2.correlators import CorrelatorTable
 from frobg2.expr import add, const, dump, h, jet, mul, neg, pow_
 from frobg2.families import FamilySpec, relation_family_check
@@ -49,7 +49,7 @@ def alg2():
 
 def _scaled_jets(ctx, eps):
     jets = {(i, p): eps ** p * v for (i, p), v in ctx.jets.items()}
-    return EvalContext(ctx.n, ctx.us, ctx.hs, ctx.gammas, jets, mode=ctx.mode)
+    return ctx.with_jets(jets)
 
 
 class TestReference:
@@ -117,7 +117,7 @@ class TestDecomposition:
             alg = Algebra(n)
             ctx = random_context(n, rng)
             other = random_context(n, rng)
-            rejet = EvalContext(n, ctx.us, ctx.hs, ctx.gammas, other.jets)
+            rejet = ctx.with_jets(other.jets)
             assert g2_small_phase(alg, ctx) == g2_small_phase(alg, rejet)
 
     def test_small_phase_generic_nonzero(self, alg2):

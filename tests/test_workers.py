@@ -112,11 +112,12 @@ class TestWorkerFailures:
 
         monkeypatch.setattr(families, "sample", changed)
 
-    @pytest.mark.parametrize("verb", ["verify-g2", "verify-relation"])
+    @pytest.mark.parametrize("verb", ["verify-g2", "verify-relation", "verify-gfunction"])
     @pytest.mark.parametrize("delta", [0, 2**-100], ids=["as-is", "perturbed"])
     def test_one_gamma(self, monkeypatch, workers, verb, delta):
         # the numeric gate can fail in a worker: gamma_12 of the second E6
-        # point moved by a relative delta
+        # point moved by a relative delta; verify-gfunction makes one
+        # trial per gradient component, so six per point
         def perturb(point):
             gammas = dict(point.gammas)
             gammas[(1, 2)] *= 1 + mpmath.mpf(delta)
@@ -126,8 +127,14 @@ class TestWorkerFailures:
         self._in_worker_at_second_point(monkeypatch, perturb)
         res = _run([verb, "--family", "e6", "--points", "2"])
         assert res.exit_code == (1 if delta else 0), res.output
-        trials = [json.loads(line) for line in res.stdout.splitlines()[:-1]]
-        assert [t["pass"] for t in trials] == [True, not delta]
+        passes = {}  # point digest -> its trials' pass flags, in point order
+        for line in res.stdout.splitlines()[:-1]:
+            trial = json.loads(line)
+            passes.setdefault(trial["point_digest"], []).append(trial["pass"])
+        first, second = passes.values()
+        assert len(first) == len(second) == (6 if verb == "verify-gfunction" else 1)
+        assert all(first)
+        assert all(second) == (not delta)
 
     def test_degenerate_draw_exits_three(self, monkeypatch, workers):
         def degenerate(spec, seed, precision):
