@@ -17,10 +17,10 @@ It also builds the Christoffel symbols of the diagonal metric.  All
 results are memoized on the shared expression DAG.
 
 The module also holds what every suite draws its points with: the
-exact evaluation contexts, the bounded redraw loop (``redraw``), and
-the forked workers that share a suite's points out (``forked_map``).
-A suite whose points come from one random stream (``draw_stream``)
-draws them here, in stream order, and computes them on the workers.
+exact evaluation contexts, the one bounded redraw loop
+(``draw_stream``), and the forked workers that share a suite's points
+out (``forked_map``).  ``draw_stream`` draws a stream's items here, in
+stream order, and computes them on the workers.
 """
 
 from __future__ import annotations
@@ -184,23 +184,15 @@ class DegenerateSample(Exception):
     """Every resampling attempt hit a degenerate configuration."""
 
 
-def redraw(draw, label):
-    """The first result of ``draw()`` that is not None; a degenerate
-    draw returns None and is redrawn, at most MAX_RESAMPLE times."""
-    for _ in range(MAX_RESAMPLE):
-        out = draw()
-        if out is not None:
-            return out
-    raise DegenerateSample(label)
-
-
 def draw_stream(draw, compute, count, label):
     """``count`` rows from the items ``draw()`` returns one after another:
     an item's row is ``compute(item)``, and a None item or row marks a
     degenerate draw, which is skipped; MAX_RESAMPLE degenerate draws in a
-    row raise ``DegenerateSample(label)``.  These are the rows of the
-    serial loop that ``redraw``s each row in turn, but the items are
-    drawn here and computed on forked workers.
+    row raise ``DegenerateSample(label)``.  It is the package's one
+    bounded redraw loop: a single point (``families.sample``) is a
+    stream of count 1, and ``compute`` passes the item through.  These
+    are the rows of the serial loop that redraws each row in turn, but
+    the items are drawn here and computed on forked workers.
 
     Each batch draws, in stream order, as many items as rows are still
     missing, and never more than the draws left before the give-up: a
@@ -255,30 +247,34 @@ _uncollected = False  # a DAG was kept since the last collection before forking
 
 
 def kept_dag():
-    """Note a DAG kept for the life of the process (``genus2._build_once``):
+    """Note a DAG kept for the life of the process (``genus2._kept``):
     the next fork collects the heap first."""
     global _uncollected
     _uncollected = True
 
 
 def forked_map(fn, items):
-    """``[fn(x) for x in items]``, the items dealt round robin to this
+    """``[fn(x) for x in items]``, the items dealt in contiguous shares,
+    in item order and the earlier shares the longer ones, to this
     process and to workers forked from it.  A worker inherits ``fn`` and
     everything it reaches (a built DAG, mpmath's precision).  Each
-    process stops at its own first item that raises; the exception of
-    the lowest such item is raised here, as in the serial loop, and a
-    worker's with the worker's traceback as its cause.  A worker whose
-    first item comes after a failure already seen is killed unread, as
-    is every worker still running when this process leaves: all are
-    reaped before it does."""
+    process stops at its own first item that raises.  Since the shares
+    are in item order, the first failure read in process order is that
+    of the lowest failing item, as in the serial loop: this process's
+    own is raised at once, and a worker's with the worker's traceback as
+    its cause.  The workers after it are killed unread, as is every
+    worker still running when this process leaves: all are reaped
+    before it does."""
     global _uncollected
-    workers = _worker_count(len(items))
+    n = len(items)
+    workers = _worker_count(n)
     if workers < 2:
         return [fn(x) for x in items]
     import gc
     import pickle
     import signal
 
+    cuts = [n - n * (workers - j) // workers for j in range(workers + 1)]
     running = []  # (pid, read end of its pipe) per worker not yet reaped
     # A full collection after a build keeps the peak RSS of a cold call
     # down (without it, An(6) with three points peaked at 34.1 MB, not
@@ -300,15 +296,12 @@ def forked_map(fn, items):
                 os.close(w)
                 raise
             if pid == 0:
-                _work(fn, items, range(j, len(items), workers), w)
+                _work(fn, items[cuts[j]:cuts[j + 1]], w)
             os.close(w)
             running.append((pid, open(r, "rb")))
         gc.unfreeze()
-        share, failed = _share(fn, items, range(0, len(items), workers))
-        shares = [share]
-        # failed: (index, exception) of the lowest failing item so far; the
-        # next worker's first item is len(shares), and a later one's later
-        while running and (failed is None or failed[0] > len(shares)):
+        out = [fn(x) for x in items[:cuts[1]]]
+        while running:
             pid, fh = running[0]
             with fh:
                 data = fh.read()
@@ -317,51 +310,38 @@ def forked_map(fn, items):
             if not data:
                 raise RuntimeError("suite worker %d ended with status %d and no result"
                                    % (pid, os.waitstatus_to_exitcode(status)))
-            share, worker_failed = pickle.loads(data)
-            if worker_failed is not None and (failed is None
-                                              or worker_failed[0] < failed[0]):
-                k, exc, trace = worker_failed
-                exc.__cause__ = RuntimeError("in suite worker %d:\n%s" % (pid, trace))
-                failed = (k, exc)
-            shares.append(share)
+            share, failed = pickle.loads(data)
+            if failed is not None:
+                exc, trace = failed
+                raise exc from RuntimeError("in suite worker %d:\n%s" % (pid, trace))
+            out += share
     finally:
         gc.unfreeze()
         for pid, fh in running:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if failed is not None:
-        raise failed[1]
-    return [shares[k % workers][k // workers] for k in range(len(items))]
+    return out
 
 
-def _share(fn, items, ks):
-    """``fn(items[k])`` for k in ``ks``, up to the first k that raises:
-    ``(results, None)``, or ``(results so far, (k, exception))``."""
-    out = []
-    for k in ks:
-        try:
-            out.append(fn(items[k]))
-        except Exception as exc:
-            return out, (k, exc)
-    return out, None
-
-
-def _work(fn, items, ks, w):
-    """A forked worker's whole life: write its pickled share, with its
-    first failure's ``(k, exception, traceback text)`` or None, to the
-    pipe end ``w``, then exit at once, so that it never returns into the
-    parent's code nor flushes the parent's buffers.  What cannot be
-    pickled is not written, and the parent sees a worker with no result."""
+def _work(fn, items, w):
+    """A forked worker's whole life: write its pickled results up to its
+    first failure, with that failure's ``(exception, traceback text)``
+    or None, to the pipe end ``w``, then exit at once, so that it never
+    returns into the parent's code nor flushes the parent's buffers.
+    What cannot be pickled is not written, and the parent sees a worker
+    with no result."""
     import pickle
 
     try:
-        out, failed = _share(fn, items, ks)
-        if failed is not None:
+        out, failed = [], None
+        try:
+            for x in items:
+                out.append(fn(x))
+        except Exception as exc:
             import traceback
 
-            k, exc = failed
-            failed = (k, exc, "".join(traceback.format_exception(exc)))
+            failed = (exc, "".join(traceback.format_exception(exc)))
         data = pickle.dumps((out, failed))
         with open(w, "wb") as fh:
             fh.write(data)

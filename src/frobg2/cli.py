@@ -136,8 +136,8 @@ def _family_options(fn):
 
 seed_option = click.option("--seed", type=int, default=DEFAULT_SEED,
                            show_default=True, help="Deterministic sampling seed.")
-precision_option = click.option("--precision", type=int, default=DEFAULT_PRECISION,
-                                show_default=True,
+precision_option = click.option("--precision", type=click.IntRange(min=2),
+                                default=DEFAULT_PRECISION, show_default=True,
                                 help="Working precision in bits for numeric families.")
 output_option = click.option("--output", type=click.Path(writable=True), default=None,
                              help="Write the report here instead of stdout.")

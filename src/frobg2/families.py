@@ -9,13 +9,13 @@ a square-root extension of the rationals; the exceptional and orbifold
 families go through high-precision complex root finding.
 
 Each sampler, like each residue check, is one draw that returns None
-when the draw is degenerate.  One bounded loop, ``algebra.redraw``,
+when the draw is degenerate.  One bounded loop, ``algebra.draw_stream``,
 redraws it up to ``MAX_RESAMPLE`` times and then raises
-``DegenerateSample``.  The residue checks of a suite, like the generic
-exact points of ``genus2``, share one random stream: they go through
-``algebra.draw_stream``, which makes the same draws and gives up at
-the same count, but computes the draws on forked workers.  The family
-suites fork too (``algebra.forked_map``): each point has its own seed.
+``DegenerateSample``: a sample point is a stream of one, and the
+residue checks of a suite, like the generic exact points of
+``genus2``, are a longer stream whose draws are computed on forked
+workers.  The family suites fork too (``algebra.forked_map``): each
+point has its own seed.
 A root finder that does not converge makes a degenerate draw; any
 other error propagates.
 
@@ -47,7 +47,6 @@ from .algebra import (
     forked_map,
     random_jets,
     random_rational,
-    redraw,
 )
 from .correlators import CorrelatorTable
 from .exact import (
@@ -489,7 +488,7 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
         return None
 
     with mpmath.workprec(precision + 64):
-        data = redraw(draw, spec.label)
+        (data,) = draw_stream(draw, lambda data: data, 1, spec.label)
     return SamplePoint(
         n=spec.n, us=data.pop("us"), hs=data.pop("hs"), gammas=data.pop("gammas"),
         jets=random_jets(rng, spec.n, 50),

@@ -21,6 +21,7 @@ for the life of the process.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -201,36 +202,37 @@ class _TableBuilder:
 # ---------------------------------------------------------------------------
 # the build cache
 
-_built = {}
+_built = {}  # (builder, n) -> its DAG
 
 
-def _build_once(kind, n, build):
-    """The DAG ``build(Algebra(n))`` for ``kind``, built on the first
-    call at each n and kept for the life of the process, with its
-    evaluation order (``expr.keep_schedule``), so no evaluation walks it
-    again.  Only the finished DAG is kept; the build's Algebra and
+def _kept(build):
+    """``build(alg)`` as a DAG built on the first call at each ``alg.n``,
+    on a fresh ``Algebra(n)``, and kept for the life of the process with
+    its evaluation order (``expr.keep_schedule``), so no evaluation walks
+    it again.  Only the finished DAG is kept; the build's Algebra and
     CorrelatorTable, with their derive caches, are dropped when it
     returns."""
-    key = (kind, n)
-    out = _built.get(key)
-    if out is None:
-        out = _built[key] = build(Algebra(n))
-        keep_schedule(out)
-        kept_dag()
-    return out
+    @functools.wraps(build)
+    def kept(alg):
+        key = (build, alg.n)
+        out = _built.get(key)
+        if out is None:
+            out = _built[key] = build(Algebra(alg.n))
+            keep_schedule(out)
+            kept_dag()
+        return out
+    return kept
 
 
+@_kept
 def f2_reference(alg):
     """The reference genus-two free energy over free generators."""
-    return _build_once("f2", alg.n, lambda a: _TableBuilder(a).table(_F2_DATA, ()))
+    return _TableBuilder(alg).table(_F2_DATA, ())
 
 
+@_kept
 def g2_function(alg):
     """The genus-two correction term G(u, u_x, u_xx)."""
-    return _build_once("g2", alg.n, _g2_build)
-
-
-def _g2_build(alg):
     builder = _TableBuilder(alg)
     parts = []
     for i in alg.indices():
@@ -257,13 +259,10 @@ def _g2_build(alg):
 # identity checks
 
 
+@_kept
 def decomposition_residual(alg):
     """f2_reference minus the sixteen-graph combination minus the
     correction term; identically zero in the free generators."""
-    return _build_once("decomposition", alg.n, _decomposition)
-
-
-def _decomposition(alg):
     table = CorrelatorTable(alg)
     parts = [f2_reference(alg), neg(g2_function(alg))]
     for name, c in CONSTANTS.items():
@@ -343,18 +342,15 @@ def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
 # the linear relation among the contractions
 
 
-def relation_expression(alg):
-    """(Q1-Q6) + 2(Q7-Q5) + 3(Q8-Q2) + 4(Q9-Q3) + 6(Q4+Q10-Q11-Q12)."""
-    return _build_once("relation", alg.n, _relation)
-
-
 RELATION_WEIGHTS = {
     "Q1": 1, "Q6": -1, "Q7": 2, "Q5": -2, "Q8": 3, "Q2": -3,
     "Q9": 4, "Q3": -4, "Q4": 6, "Q10": 6, "Q11": -6, "Q12": -6,
 }
 
 
-def _relation(alg):
+@_kept
+def relation_expression(alg):
+    """(Q1-Q6) + 2(Q7-Q5) + 3(Q8-Q2) + 4(Q9-Q3) + 6(Q4+Q10-Q11-Q12)."""
     return graph_combination(alg, RELATION_WEIGHTS)
 
 
@@ -375,12 +371,9 @@ def o_difference_closed_form(alg):
     return add(*terms) if terms else ZERO
 
 
+@_kept
 def o_difference_graphs(alg):
     """The contraction O1 - O2."""
-    return _build_once("odiff", alg.n, _o_difference)
-
-
-def _o_difference(alg):
     table = CorrelatorTable(alg)
     return sub(
         graph_function(builtin("O1"), table),

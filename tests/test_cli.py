@@ -65,6 +65,10 @@ class TestExitCodes:
             "compute-odiff --family an --n 3 --mu1 1/2",
             "verify-g2 --family dr --r 1 --p 5",
             "compute-odiff --family e6 --p 7",
+            # below 2 bits the tolerance 2^-(p//2) is not below 1
+            "verify-g2 --family an --n 3 --points 1 --precision 0",
+            "verify-relation --family dr --r 1 --points 1 --precision 1",
+            "verify-gfunction --family apq --p 1 --q 1 --points 1 --precision -70",
         ]:
             res = runner.invoke(main, args.split())
             assert res.exit_code == 2, args

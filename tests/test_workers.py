@@ -245,6 +245,29 @@ class TestWorkerLifetime:
             (k, k * k) for k in range(7)]
         assert len(forks) == 2
 
+    def test_lowest_failure_in_longer_shares(self, workers):
+        # seven items on three processes, so a process holds several: the
+        # lowest failing item decides, whichever process holds it, and a
+        # worker's exception names that worker
+        def failing(raising):
+            def fn(k):
+                if k in raising:
+                    raise raising[k](k, os.getpid())
+                return k
+            return fn
+
+        forks = workers(3)
+        with pytest.raises(KeyError) as first:
+            algebra.forked_map(failing({1: KeyError, 4: ValueError}), range(7))
+        assert first.value.args[0] == 1
+        with pytest.raises(ValueError) as lowest:
+            algebra.forked_map(failing({4: ValueError, 6: ValueError}), range(7))
+        k, pid = lowest.value.args
+        assert k == 4
+        if pid != os.getpid():
+            assert "in suite worker %d" % pid in str(lowest.value.__cause__)
+        assert len(forks) == 4
+
 
 STREAM_CALLS = {
     "decomposition": ["verify-decomposition", "--n", "2", "--trials", "5"],
@@ -396,7 +419,7 @@ class TestResidueGate:
     def test_one_residue_in_worker(self, monkeypatch, workers, delta):
         # the residue gate can fail in a worker: every exact residue that a
         # forked worker computes moved by delta.  With two processes the
-        # worker computes the second of three draws; its "root pair" trial
+        # worker computes the third of three draws; its "root pair" trial
         # sums two residues, its "infinity" trial calls none
         parent = os.getpid()
         real = families.residue
@@ -410,4 +433,4 @@ class TestResidueGate:
         res = _run(["verify-residues", "--family", "e8", "--draws", "3"])
         assert len(forks) == 1
         assert res.exit_code == (1 if delta else 0), res.output
-        assert [t[2] for t in _trials(res)] == [True, True, not delta, True, True, True]
+        assert [t[2] for t in _trials(res)] == [True, True, True, True, not delta, True]
