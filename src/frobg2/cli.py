@@ -8,6 +8,11 @@ converge or that no usable point came out of ``MAX_RESAMPLE`` draws (a
 family point, a residue-suite draw or a generic exact point), and 4 is
 any other error, with its traceback on stderr.
 
+``_verb`` is the one runner of every verb: it adds ``--output``, which
+it checks before any suite runs, writes what the verb returns (a report,
+or a writer of the verb's own text) and maps what it raises to an exit
+code.  The output file is opened only once the verb has its output.
+
 Reports are deterministic: the same command with the same seed writes
 byte-identical output.
 """
@@ -15,6 +20,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -43,7 +49,7 @@ from .genus2 import (
     relation_expression,
     solve_coefficients,
 )
-from .graphs import builtin, canonicalize, catalog_names, enumerate_admissible
+from .graphs import builtin, canonicalize, catalog_names, enumerate_admissible, graph_function
 from .report import DEFAULT_PRECISION, DEFAULT_SEED, VerificationReport, relative_tolerance
 
 EXIT_PASS = 0
@@ -85,11 +91,6 @@ def _writer(output):
         yield partial(click.echo, nl=False)
 
 
-def _write(text, output):
-    with _writer(output) as write:
-        write(text)
-
-
 def _emit(report, output):
     lines = []
     for idx, trial in enumerate(report.trials):
@@ -101,45 +102,75 @@ def _emit(report, output):
     summary["trials"] = len(report.trials)
     summary["tolerance"] = relative_tolerance(report.precision)
     lines.append(json.dumps(summary, sort_keys=True))
-    _write("\n".join(lines) + "\n", output)
-    return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+    return _text("\n".join(lines) + "\n", report.verdict == "pass")(output)
 
 
-def _guarded(body):
-    try:
-        code = body()
-    except (NonConvergenceError, DegenerateSample) as exc:
-        click.echo("non-convergent: %s" % exc, err=True)
-        code = EXIT_NONCONVERGENT
-    except Exception:
-        sys.excepthook(*sys.exc_info())  # the traceback, to stderr
-        code = EXIT_ERROR
-    sys.exit(code)
+def _text(text, ok=True):
+    """A writer of ``text`` that exits 0, or 1 when not ``ok``."""
+    def write_text(output):
+        with _writer(output) as write:
+            write(text)
+        return EXIT_PASS if ok else EXIT_FAIL
+    return write_text
 
 
-def _family_options(fn):
-    # the last decorator applied is listed first in --help
-    for deco in reversed((
-        click.option("--family", type=click.Choice(list(_BY_FLAG)), required=True,
-                     help="Family kind."),
-        click.option("--n", type=click.IntRange(min=1), default=None,
-                     help="Rank for A/D families."),
-        click.option("--p", type=int, default=None, help="First orbifold degree."),
-        click.option("--q", type=int, default=None, help="Second orbifold degree."),
-        click.option("--r", type=int, default=None, help="D-orbifold parameter."),
-        click.option("--mu1", type=str, default=None,
-                     help="Rational parameter of the 2D family."),
-    )):
-        fn = deco(fn)
-    return fn
+def _output_dir(ctx, param, value):
+    # click.Path checks only a path that exists
+    parent = value and os.path.dirname(os.path.abspath(value))
+    if parent and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise click.BadParameter("%r is not a writable directory." % parent)
+    return value
 
 
+def _verb(name, *options, help=None):
+    """Register the decorated function as the verb ``name``, with
+    ``options`` in --help in the order given, then --output.  The
+    function returns a report, or a writer that takes the --output
+    value, writes the verb's text and returns the exit code."""
+    def register(fn):
+        def command(output, **kwargs):
+            try:
+                out = fn(**kwargs)
+                if isinstance(out, VerificationReport):
+                    code = _emit(out, output)
+                else:
+                    code = out(output)
+            except click.ClickException:
+                raise
+            except (NonConvergenceError, DegenerateSample) as exc:
+                click.echo("non-convergent: %s" % exc, err=True)
+                code = EXIT_NONCONVERGENT
+            except Exception:
+                sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+                code = EXIT_ERROR
+            sys.exit(code)
+
+        # the last decorator applied is listed first in --help
+        for deco in reversed(options + (output_option,)):
+            command = deco(command)
+        main.command(name, help=help or fn.__doc__)(command)
+        return fn
+    return register
+
+
+family_options = (
+    click.option("--family", type=click.Choice(list(_BY_FLAG)), required=True,
+                 help="Family kind."),
+    click.option("--n", type=click.IntRange(min=1), default=None,
+                 help="Rank for A/D families."),
+    click.option("--p", type=int, default=None, help="First orbifold degree."),
+    click.option("--q", type=int, default=None, help="Second orbifold degree."),
+    click.option("--r", type=int, default=None, help="D-orbifold parameter."),
+    click.option("--mu1", type=str, default=None,
+                 help="Rational parameter of the 2D family."),
+)
 seed_option = click.option("--seed", type=int, default=DEFAULT_SEED,
                            show_default=True, help="Deterministic sampling seed.")
 precision_option = click.option("--precision", type=click.IntRange(min=2),
                                 default=DEFAULT_PRECISION, show_default=True,
                                 help="Working precision in bits for numeric families.")
-output_option = click.option("--output", type=click.Path(writable=True), default=None,
+output_option = click.option("--output", type=click.Path(dir_okay=False, writable=True),
+                             default=None, callback=_output_dir, metavar="PATH",
                              help="Write the report here instead of stdout.")
 
 
@@ -148,59 +179,38 @@ def main():
     """Verification workbench for the genus-two free-energy identities."""
 
 
-@main.command("verify-decomposition")
-@click.option("--n", type=click.IntRange(min=1), required=True,
-              help="Number of canonical coordinates.")
-@click.option("--trials", type=click.IntRange(min=1), default=20, show_default=True)
-@seed_option
-@output_option
-def cmd_verify_decomposition(n, trials, seed, output):
+@_verb("verify-decomposition",
+       click.option("--n", type=click.IntRange(min=1), required=True,
+                    help="Number of canonical coordinates."),
+       click.option("--trials", type=click.IntRange(min=1), default=20, show_default=True),
+       seed_option)
+def cmd_verify_decomposition(n, trials, seed):
     """Check the sixteen-graph decomposition at random exact points."""
-
-    def body():
-        report = check_decomposition(n, trials=trials, seed=seed)
-        return _emit(report, output)
-
-    _guarded(body)
+    return check_decomposition(n, trials=trials, seed=seed)
 
 
-@main.command("solve-coefficients")
-@click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--samples", type=click.IntRange(min=32), default=32, show_default=True)
-@seed_option
-@output_option
-def cmd_solve_coefficients(n, samples, seed, output):
+@_verb("solve-coefficients",
+       click.option("--n", type=click.IntRange(min=2), default=2, show_default=True),
+       click.option("--samples", type=click.IntRange(min=32), default=32, show_default=True),
+       seed_option)
+def cmd_solve_coefficients(n, samples, seed):
     """Re-derive the sixteen constants and compare with the catalog."""
-
-    def body():
-        solved = solve_coefficients(n, samples=samples, seed=seed)
-        report = VerificationReport(command="solve-coefficients", n=n, seed=seed)
-        for name in sorted(CONSTANTS, key=lambda s: int(s[1:])):
-            got = solved[name]
-            report.add_trial(name, str(got), got == CONSTANTS[name])
-        return _emit(report, output)
-
-    _guarded(body)
+    solved = solve_coefficients(n, samples=samples, seed=seed)
+    report = VerificationReport(command="solve-coefficients", n=n, seed=seed)
+    for name, c in CONSTANTS.items():
+        report.add_trial(name, str(solved[name]), solved[name] == c)
+    return report
 
 
 def _family_verb(name, suite, summary, needs=None):
     """Register a verb that runs ``suite`` on --points points of a family."""
 
-    @_family_options
-    @click.option("--points", type=click.IntRange(min=1), default=3, show_default=True)
-    @seed_option
-    @precision_option
-    @output_option
-    def command(family, points, seed, precision, output, **params):
+    @_verb(name, *family_options,
+           click.option("--points", type=click.IntRange(min=1), default=3, show_default=True),
+           seed_option, precision_option, help=summary)
+    def command(family, points, seed, precision, **params):
         spec = _family_spec(family, params, needs)
-
-        def body():
-            report = suite(spec, points=points, seed=seed, precision=precision)
-            return _emit(report, output)
-
-        _guarded(body)
-
-    main.command(name, help=summary)(command)
+        return suite(spec, points=points, seed=seed, precision=precision)
 
 
 _family_verb("verify-g2", g2_vanishing_check,
@@ -212,116 +222,81 @@ _family_verb("verify-gfunction", gfunction_check,
              needs=("gradient_closed_form", "G-function closed form"))
 
 
-@main.command("compute-odiff")
-@_family_options
-@click.option("--points", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Also verify the value on this many sampled points.")
-@seed_option
-@precision_option
-@output_option
-def cmd_compute_odiff(family, points, seed, precision, output, **params):
+@_verb("compute-odiff", *family_options,
+       click.option("--points", type=click.IntRange(min=0), default=0, show_default=True,
+                    help="Also verify the value on this many sampled points."),
+       seed_option, precision_option)
+def cmd_compute_odiff(family, points, seed, precision, **params):
     """Print the family's closed-form O1 - O2 value."""
     spec = _family_spec(family, params)
-
-    def body():
-        if points == 0:
-            record = {"command": "compute-odiff", "family": spec.label,
-                      "o_difference": str(closed_form_o_difference(spec))}
-            _write(json.dumps(record, sort_keys=True) + "\n", output)
-            return EXIT_PASS
-        report = o_difference_check(spec, points=points, seed=seed, precision=precision)
-        return _emit(report, output)
-
-    _guarded(body)
+    if points:
+        return o_difference_check(spec, points=points, seed=seed, precision=precision)
+    record = {"command": "compute-odiff", "family": spec.label,
+              "o_difference": str(closed_form_o_difference(spec))}
+    return _text(json.dumps(record, sort_keys=True) + "\n")
 
 
-@main.command("verify-residues")
-@_family_options
-@click.option("--draws", type=click.IntRange(min=1), default=5, show_default=True)
-@seed_option
-@output_option
-def cmd_verify_residues(family, draws, seed, output, **params):
+@_verb("verify-residues", *family_options,
+       click.option("--draws", type=click.IntRange(min=1), default=5, show_default=True),
+       seed_option)
+def cmd_verify_residues(family, draws, seed, **params):
     """Run the residue-identity suite for a polynomial family."""
     spec = _family_spec(family, params, needs=("residue_checks", "residue suite"))
-
-    def body():
-        report = residue_identity_suite(spec, seed=seed, draws=draws)
-        return _emit(report, output)
-
-    _guarded(body)
+    return residue_identity_suite(spec, seed=seed, draws=draws)
 
 
-@main.command("enumerate-graphs")
-@click.option("--emit", type=click.Choice(["json", "dot"]), default="json",
-              show_default=True)
-@output_option
-def cmd_enumerate_graphs(emit, output):
+@_verb("enumerate-graphs",
+       click.option("--emit", type=click.Choice(["json", "dot"]), default="json",
+                    show_default=True))
+def cmd_enumerate_graphs(emit):
     """List the sixteen canonical graphs and check the enumeration."""
-
-    def body():
-        classes = enumerate_admissible()
-        named = {name: canonicalize(builtin(name))
-                 for name in catalog_names() if name.startswith("Q")}
-        lines = []
-        for name in sorted(named, key=lambda s: int(s[1:])):
-            g = named[name]
-            if emit == "dot":
-                lines.append(g.to_dot(name=name))
-            else:
-                rec = json.loads(g.to_json())
-                rec["name"] = name
-                lines.append(json.dumps(rec, sort_keys=True))
-        ok = set(named.values()) == classes and len(classes) == 16
-        lines.append(
-            json.dumps(
-                {"command": "enumerate-graphs", "classes": len(classes),
-                 "catalog_matches": ok, "verdict": "pass" if ok else "fail"},
-                sort_keys=True,
-            )
-        )
-        _write("\n".join(lines) + "\n", output)
-        return EXIT_PASS if ok else EXIT_FAIL
-
-    _guarded(body)
+    classes = enumerate_admissible()
+    named = {name: canonicalize(builtin(name))
+             for name in catalog_names() if name.startswith("Q")}
+    lines = []
+    for name, g in named.items():
+        if emit == "dot":
+            lines.append(g.to_dot(name=name))
+        else:
+            rec = json.loads(g.to_json())
+            rec["name"] = name
+            lines.append(json.dumps(rec, sort_keys=True))
+    ok = set(named.values()) == classes and len(classes) == 16
+    lines.append(json.dumps({"command": "enumerate-graphs", "classes": len(classes),
+                             "catalog_matches": ok, "verdict": "pass" if ok else "fail"},
+                            sort_keys=True))
+    return _text("\n".join(lines) + "\n", ok)
 
 
-@main.command("dump-expr")
-@click.option("--what", type=click.Choice(["f2", "g2", "relation", "graph"]),
-              required=True)
-@click.option("--name", type=str, default=None,
-              help="Catalog name when dumping a graph contraction.")
-@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
-@output_option
-def cmd_dump_expr(what, name, n, output):
+_DUMPED = {"f2": f2_reference, "g2": g2_function, "relation": relation_expression}
+
+
+@_verb("dump-expr",
+       click.option("--what", type=click.Choice([*_DUMPED, "graph"]), required=True),
+       click.option("--name", type=str, default=None,
+                    help="Catalog name when dumping a graph contraction."),
+       click.option("--n", type=click.IntRange(min=1), default=2, show_default=True))
+def cmd_dump_expr(what, name, n):
     """Write an expression as deterministic S-expression text."""
-    alg = Algebra(n)
-    if what != "graph" and name is not None:
-        raise click.UsageError("--name is only taken with --what graph")
-    if what == "graph":
-        if name is None:
-            raise click.UsageError("--name is required with --what graph")
+    if what != "graph":
+        if name is not None:
+            raise click.UsageError("--name is only taken with --what graph")
+        expr = _DUMPED[what](Algebra(n))
+    elif name is None:
+        raise click.UsageError("--name is required with --what graph")
+    else:
         try:
             graph = builtin(name)
         except KeyError:
             raise click.UsageError("unknown graph %r" % name)
+        expr = graph_function(graph, CorrelatorTable(Algebra(n)))
 
-    def body():
-        if what == "f2":
-            expr = f2_reference(alg)
-        elif what == "g2":
-            expr = g2_function(alg)
-        elif what == "relation":
-            expr = relation_expression(alg)
-        else:
-            from .graphs import graph_function
-
-            expr = graph_function(graph, CorrelatorTable(alg))
+    def write_dump(output):
         with _writer(output) as write:
             expr_dump(expr, write)
             write("\n")
         return EXIT_PASS
-
-    _guarded(body)
+    return write_dump
 
 
 if __name__ == "__main__":

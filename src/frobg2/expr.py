@@ -347,18 +347,24 @@ _MPC = mpmath.mp.mpc
 _MP_TYPES = frozenset(mpmath.mp.types)
 
 
-class EvalStats:
-    """Collects the largest magnitude seen among addends, which scales
-    the numeric kernel's tolerance; one beyond the float range reads inf.
+class NumericKernel:
+    """Scalars as they are, mpmath numbers at each call's working
+    precision.  A value passes below the relative tolerance at
+    ``precision`` bits of the largest addend noted, so one kernel serves
+    one context, whose evaluations all note into it.
 
-    ``max_mag`` is exactly the largest ``float(abs(v))`` noted.  An mpc
-    addend whose binary exponents put it below ``2 ** _below``, which is
-    at most ``max_mag``, cannot be a new maximum and is skipped without
-    taking its working-precision ``abs()``."""
+    ``max_mag`` is exactly the largest ``float(abs(v))`` noted; one
+    beyond the float range reads inf.  An mpc addend whose binary
+    exponents put it below ``2 ** _below``, which is at most
+    ``max_mag``, cannot be a new maximum and is skipped without taking
+    its working-precision ``abs()``."""
 
-    __slots__ = ("max_mag", "_below")
+    __slots__ = ("precision", "max_mag", "_below")
+    name = "numeric"
+    const = gen = scalar = staticmethod(lambda v: v)
 
-    def __init__(self):
+    def __init__(self, precision):
+        self.precision = precision
         self.max_mag = 0.0
         self._below = None  # None while max_mag is 0 or inf
 
@@ -387,21 +393,6 @@ class EvalStats:
         if m > self.max_mag:
             self.max_mag = m
             self._below = None if isinf(m) else frexp(m)[1] - 1
-
-
-class NumericKernel(EvalStats):
-    """Scalars as they are, mpmath numbers at each call's working
-    precision.  A value passes below the relative tolerance at
-    ``precision`` bits of the largest addend noted (``max_mag``), so one
-    kernel serves one context, whose evaluations all note into it."""
-
-    __slots__ = ("precision",)
-    name = "numeric"
-    const = gen = scalar = staticmethod(lambda v: v)
-
-    def __init__(self, precision):
-        super().__init__()
-        self.precision = precision
 
     def fresh(self):
         return NumericKernel(self.precision)

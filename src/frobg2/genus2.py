@@ -263,13 +263,8 @@ def g2_function(alg):
 def decomposition_residual(alg):
     """f2_reference minus the sixteen-graph combination minus the
     correction term; identically zero in the free generators."""
-    table = CorrelatorTable(alg)
-    parts = [f2_reference(alg), neg(g2_function(alg))]
-    for name, c in CONSTANTS.items():
-        if c == 0:
-            continue
-        parts.append(mul(const(-c), graph_function(builtin(name), table)))
-    return add(*parts)
+    return add(f2_reference(alg), neg(g2_function(alg)),
+               graph_combination(alg, {name: -c for name, c in CONSTANTS.items() if c}))
 
 
 def _generic_rows(n, rng, expressions, count, row):

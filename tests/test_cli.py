@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from frobg2.cli import main
+from frobg2.exact import NonConvergenceError
 
 
 @pytest.fixture()
@@ -130,6 +131,54 @@ class TestOutputShape:
         from frobg2.genus2 import f2_reference
 
         assert parsed is f2_reference(Algebra(1))
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("args", [
+        "verify-g2 --family an --n 3 --points 1",  # a report
+        "compute-odiff --family an --n 3",  # the closed-form record
+        "enumerate-graphs --emit dot",  # graph lines
+        "dump-expr --what g2 --n 2",  # a streamed dump
+    ])
+    def test_file_gets_the_stdout_bytes(self, runner, tmp_path, args):
+        plain = runner.invoke(main, args.split())
+        path = tmp_path / "out.txt"
+        res = runner.invoke(main, args.split() + ["--output", str(path)])
+        assert res.exit_code == plain.exit_code == 0
+        assert res.stdout == ""
+        assert path.read_bytes() == plain.stdout_bytes
+
+    @pytest.mark.parametrize("args,target", [
+        ("dump-expr --what g2 --n 2", "."),
+        ("compute-odiff --family an --n 3", "missing/out.json"),
+        ("verify-decomposition --n 3 --trials 20", "missing/out.json"),
+    ])
+    def test_bad_path_is_usage_error(self, runner, tmp_path, monkeypatch, args, target):
+        # refused while the options are parsed: no suite runs
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr("frobg2.cli.check_decomposition", no_suite)
+        res = runner.invoke(main, args.split() + ["--output", str(tmp_path / target)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--output" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error,code", [
+        (NonConvergenceError("no root"), 3),
+        (RuntimeError("sampled linear system is singular or inconsistent"), 4),
+    ])
+    def test_no_file_without_output(self, runner, tmp_path, monkeypatch, error, code):
+        def broken(n, samples, seed):
+            raise error
+
+        monkeypatch.setattr("frobg2.cli.solve_coefficients", broken)
+        path = tmp_path / "out.json"
+        res = runner.invoke(main, ["solve-coefficients", "--output", str(path)])
+        assert res.exit_code == code
+        assert res.stdout == ""
+        assert not path.exists()
 
 
 class TestReproducibility:

@@ -269,7 +269,7 @@ class TestEvalStats:
         rng = random.Random(5)
         with mpmath.workprec(256):
             for _ in range(400):
-                stats, ref = ex.EvalStats(), _ReferenceStats()
+                stats, ref = ex.NumericKernel(256), _ReferenceStats()
                 for _ in range(rng.randint(1, 25)):
                     v = _random_addend(rng)
                     stats.note(v)
@@ -290,7 +290,7 @@ class TestEvalStats:
                 [mpmath.mpc(2) ** 2000, mpmath.mpc(1)],
             ]
             for seq in cases:
-                stats, ref = ex.EvalStats(), _ReferenceStats()
+                stats, ref = ex.NumericKernel(256), _ReferenceStats()
                 for v in seq:
                     stats.note(v)
                     ref.note(v)
