@@ -9,8 +9,9 @@ family point, a residue-suite draw or a generic exact point), and 4 is
 any other error, with its traceback on stderr.
 
 ``_verb`` is the one runner of every verb: it adds ``--output``, which
-it checks before any suite runs, writes what the verb returns (a report,
-or a writer of the verb's own text) and maps what it raises to an exit
+it checks before any suite runs, runs the verb with the DAG store on
+(``genus2.stored_builds``), writes what the verb returns (a report, or
+a writer of the verb's own text) and maps what it raises to an exit
 code.  The output file is opened only once the verb has its output.
 
 Reports are deterministic: the same command with the same seed writes
@@ -48,6 +49,7 @@ from .genus2 import (
     g2_function,
     relation_expression,
     solve_coefficients,
+    stored_builds,
 )
 from .graphs import builtin, canonicalize, catalog_names, enumerate_admissible, graph_function
 from .report import DEFAULT_PRECISION, DEFAULT_SEED, VerificationReport, relative_tolerance
@@ -130,7 +132,8 @@ def _verb(name, *options, help=None):
     def register(fn):
         def command(output, **kwargs):
             try:
-                out = fn(**kwargs)
+                with stored_builds():
+                    out = fn(**kwargs)
                 if isinstance(out, VerificationReport):
                     code = _emit(out, output)
                 else:

@@ -11,12 +11,21 @@ other rewriting happens; identities are checked by evaluation, not by
 normal forms.
 
 Every node carries a structural hash (``shash``) built bottom-up from
-integers only, so child ordering and the S-expression dump are stable
-across processes.
+integers only, and sums and products order their operands by
+``(shash, sid)``.  The hash is not injective: CPython hashes -1 and -2
+alike, so ``const(-1)`` and ``const(-2)`` share an ``shash``, as do
+``b^-1`` and ``b^-2`` and every node built over such a pair.  Siblings
+whose hashes tie keep the order in which they were first created
+(``sid``), so child order and the S-expression dump are stable across
+processes only as long as those siblings are created in the same
+order.  ``save`` writes a kept DAG in ``sid`` order, so that ``load``
+creates its nodes in the order the build did.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
 from fractions import Fraction
 from math import frexp, gcd, isfinite, isinf
 from operator import attrgetter
@@ -74,6 +83,7 @@ def _mk(op, args, hcomps):
 
 # sort key of sum and product children: (shash, sid)
 _skey = attrgetter("shash", "sid")
+_sid = attrgetter("sid")
 
 
 def const(q):
@@ -324,9 +334,13 @@ _schedules = {}
 
 
 def keep_schedule(e):
-    """Walk e once and evaluate it in that order from now on.  For a DAG
-    that lives as long as the process: the order is kept as long."""
-    _schedules[e] = tuple(_postorder(e))
+    """Walk e once and evaluate it in increasing ``sid`` order from now
+    on: the order the nodes were created in, in which every node comes
+    after its operands and the root comes last.  For a DAG that lives
+    as long as the process: the order is kept as long."""
+    order = _postorder(e)
+    order.sort(key=_sid)
+    _schedules[e] = order
 
 
 def _schedule(e):
@@ -706,3 +720,79 @@ def parse(text):
     if pos[0] != len(tokens):
         raise ValueError("trailing tokens")
     return e
+
+
+# ---------------------------------------------------------------------------
+# stored DAGs: plain JSON, nodes in sid order, operands by row index
+
+
+def save(e, write):
+    """Write the DAG ``e``, which must be kept (``keep_schedule``), as one
+    JSON object passed to ``write`` in pieces: the root's ``shash``, the
+    node count, then one row per node in the kept order, which is
+    increasing ``sid``, so the root is the last row.  A row is
+    ``[op, numerator, denominator]``, ``[op, kind, i, p]``,
+    ``[op, base row, exponent]`` or ``[op, operand rows...]``.  An
+    operand's row is found by bisection on ``sid`` in the kept order, so
+    nothing but that order is held."""
+    order = _schedules[e]
+    write('{"root": %d, "nodes": %d, "rows": [\n' % (e.shash, len(order)))
+    sep = ""
+    for node in order:
+        op, args = node.op, node.args
+        if op == OP_CONST:
+            q = args[0]
+            row = "%d,%d,%d" % (op, q.numerator, q.denominator)
+        elif op == OP_GEN:
+            row = "%d,%d,%d,%d" % ((op,) + args)
+        elif op == OP_POW:
+            row = "%d,%d,%d" % (op, bisect_left(order, args[0].sid, key=_sid), args[1])
+        else:
+            row = "%d,%s" % (op, ",".join(
+                [str(bisect_left(order, c.sid, key=_sid)) for c in args]))
+        write("%s[%s]" % (sep, row))
+        sep = ",\n"
+    write("\n]}\n")
+
+
+def load(text):
+    """The root of the DAG that ``save`` wrote as ``text``, its nodes
+    interned in row order.  Raises ValueError (or the LookupError,
+    TypeError or ZeroDivisionError of malformed text) unless the text is
+    such a DAG with the node count and root ``shash`` its header gives.
+    Operands are taken in the order stored, not re-sorted by this
+    process's sids."""
+    data = json.loads(text)
+    rows = data["rows"]
+    if type(rows) is not list or not rows or len(rows) != data["nodes"]:
+        raise ValueError("node count does not match")
+    nodes = []
+    for row in rows:
+        op = row[0]
+        if op == OP_CONST:
+            _, num, den = row
+            node = const(Fraction(num, den))
+        elif op == OP_GEN:
+            _, kind, i, p = row
+            if not type(kind) is type(i) is type(p) is int:
+                raise ValueError("bad generator in row %r" % (row,))
+            node = gen(kind, i, p)
+        elif op == OP_POW:
+            _, b, k = row
+            if type(k) is not int or not 0 <= b < len(nodes):
+                raise ValueError("bad power in row %r" % (row,))
+            base = nodes[b]
+            node = _mk(op, (base, k), (base.shash, k))
+        elif op == OP_ADD or op == OP_MUL:
+            refs = row[1:]
+            if len(refs) < 2 or min(refs) < 0 or max(refs) >= len(nodes):
+                raise ValueError("bad operand in row %r" % (row,))
+            args = tuple([nodes[k] for k in refs])
+            node = _mk(op, args, tuple([c.shash for c in args]))
+        else:
+            raise ValueError("bad operator in row %r" % (row,))
+        nodes.append(node)
+    root = nodes[-1]
+    if root.shash != data["root"]:
+        raise ValueError("root hash does not match")
+    return root

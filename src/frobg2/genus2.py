@@ -16,14 +16,25 @@ workers (``algebra.draw_stream``), with the results of the serial loop.
 Building a DAG costs more than evaluating it, so ``f2_reference``,
 ``g2_function``, ``decomposition_residual``, ``relation_expression`` and
 ``o_difference_graphs`` build each DAG once per (kind, n) and keep it
-for the life of the process.
+for the life of the process.  Inside ``stored_builds()``, which every
+CLI verb runs in, a DAG not yet kept is first loaded from a store on
+disk, and one that had to be built is written there
+(``$XDG_CACHE_HOME/frobg2``, by default ``~/.cache/frobg2``).  The
+store is keyed by the package's source and data bytes and the Python
+bytecode tag, so a DAG is built once per source version.  Library calls
+never use the store: a DAG built from term tables or constants changed
+in memory is not one the store may hold.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+import os
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -35,7 +46,8 @@ from .algebra import (
 from .correlators import CorrelatorTable, h_function
 from .exact import row_reduce
 from .expr import (
-    ZERO, add, const, gamma, h, jet, keep_schedule, mul, neg, pow_, sub, u,
+    ZERO, add, const, gamma, h, jet, keep_schedule, load, mul, neg, pow_, save,
+    sub, u,
 )
 from .graphs import builtin, graph_function
 from .report import DEFAULT_SEED, VerificationReport, point_digest
@@ -203,6 +215,79 @@ class _TableBuilder:
 # the build cache
 
 _built = {}  # (builder, n) -> its DAG
+_store = None  # the store directory while stored_builds() is on
+
+
+@contextmanager
+def stored_builds():
+    """Within this block, ``_kept`` loads a DAG it does not hold from the
+    store directory, and writes there one it builds."""
+    global _store
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    _store = os.path.join(base, "frobg2")
+    try:
+        yield
+    finally:
+        _store = None
+
+
+@functools.cache
+def _source_key():
+    """sha256 of the bytecode tag and of every source and data file of
+    the package, by name and bytes."""
+    sha = hashlib.sha256(str(sys.implementation.cache_tag).encode())
+    here = os.path.dirname(os.path.abspath(__file__))
+    data = os.path.join(here, "data")
+    paths = [os.path.join(here, f) for f in sorted(os.listdir(here)) if f.endswith(".py")]
+    paths += [os.path.join(data, f) for f in sorted(os.listdir(data))]
+    for path in paths:
+        with open(path, "rb") as fh:
+            body = fh.read()
+        sha.update(b"\0%s\0%d\0" % (os.path.relpath(path, here).encode(), len(body)))
+        sha.update(body)
+    return sha.hexdigest()
+
+
+def _store_path(name, n):
+    """The store file of builder ``name``'s DAG at ``n``; None while the
+    store is off."""
+    if _store is None:
+        return None
+    try:
+        key = _source_key()
+    except OSError:  # the sources are not files to read: no store
+        return None
+    return os.path.join(_store, "%s-%d-%s.json" % (name, n, key))
+
+
+def _load_stored(path):
+    """The DAG stored at ``path``, or None when it cannot be read or
+    fails ``expr.load``'s checks."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load(fh.read())
+    except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
+            RecursionError):  # missing, unreadable or malformed: build instead
+        return None
+
+
+def _write_stored(e, path):
+    """Store the kept DAG ``e`` at ``path`` through a temporary file and
+    ``os.replace``, so no reader sees a partial file.  A store that
+    cannot be written is left as it is."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            save(e, fh.write)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 def _kept(build):
@@ -211,15 +296,25 @@ def _kept(build):
     its evaluation order (``expr.keep_schedule``), so no evaluation walks
     it again.  Only the finished DAG is kept; the build's Algebra and
     CorrelatorTable, with their derive caches, are dropped when it
-    returns."""
+    returns.
+
+    Inside ``stored_builds()`` a DAG not yet kept is loaded from
+    ``<builder>-<n>-<source key>.json`` in the store directory instead,
+    and one that is built after all (no such file, or one that does not
+    load) is written there by this process.  A loaded DAG is kept
+    exactly as a built one is."""
     @functools.wraps(build)
     def kept(alg):
         key = (build, alg.n)
         out = _built.get(key)
         if out is None:
-            out = _built[key] = build(Algebra(alg.n))
+            path = _store_path(build.__name__, alg.n)
+            stored = path and _load_stored(path)
+            out = _built[key] = stored or build(Algebra(alg.n))
             keep_schedule(out)
             kept_dag()
+            if path and not stored:
+                _write_stored(out, path)
         return out
     return kept
 

@@ -65,6 +65,31 @@ class TestConstruction:
         assert text == dump(e)
         assert text.count("(+ ") == text.count("(* ") == 3000
 
+    def test_hash_collisions(self):
+        # CPython hashes -1 and -2 alike, so these distinct nodes share a
+        # structural hash; siblings that tie keep their creation order
+        assert ex.const(-1) is not ex.const(-2)
+        assert ex.const(-1).shash == ex.const(-2).shash
+        assert pow_(h(1), -1) is not pow_(h(1), -2)
+        assert pow_(h(1), -1).shash == pow_(h(1), -2).shash
+
+    def test_save_load_roundtrip(self):
+        # a kept DAG is saved in sid order and loads as the same nodes,
+        # also when nested deeper than the recursion limit
+        deep = u(1)
+        for k in range(3000):
+            deep = add(mul(deep, u(2)), u(k % 5 + 3))
+        small = add(mul(ex.const(Fraction(-3, 7)), gamma(1, 2), pow_(h(1), -2)),
+                    div(jet(2, 3), sub(u(1), u(2))))
+        for e in (small, deep):
+            ex.keep_schedule(e)
+            sids = [node.sid for node in ex._schedules[e]]
+            assert sids == sorted(sids) and sids[-1] == e.sid
+            chunks = []
+            ex.save(e, chunks.append)
+            del ex._schedules[e]  # not kept for the rest of the session
+            assert ex.load("".join(chunks)) is e
+
 
 class TestRules:
     def test_dgamma_distinct(self, alg3):

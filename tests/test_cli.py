@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
+from frobg2 import genus2
 from frobg2.cli import main
 from frobg2.exact import NonConvergenceError
 
@@ -273,3 +274,104 @@ class TestHelp:
         order = [res.output.index(opt) for opt in
                  ("--family", "--n ", "--p ", "--q ", "--r ", "--mu1", "--points")]
         assert order == sorted(order)
+
+
+# a verb that builds one small DAG, and its golden stdout digest
+G2_DUMP = "dump-expr --what g2 --n 2"
+G2_DUMP_DIGEST = {args: digest for args, _, digest in GOLDEN}[G2_DUMP]
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestStoredBuilds:
+    """Every verb runs with the DAG store on (``genus2.stored_builds``):
+    a cold call builds its DAGs and writes them to
+    ``$XDG_CACHE_HOME/frobg2``, a warm one loads them, and both print
+    the same bytes."""
+
+    @staticmethod
+    def _store(home):
+        """store file name -> (inode, mtime) in the store under ``home``."""
+        root = home / "frobg2"
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in root.iterdir()} if root.is_dir() else {}
+
+    @pytest.mark.parametrize("args,builders", [
+        ("verify-relation --family e6 --points 1", {"relation_expression-6"}),
+        ("verify-g2 --family an --n 6 --points 3", {"g2_function-6"}),
+        ("verify-decomposition --n 3", {"decomposition_residual-3",
+                                        "f2_reference-3", "g2_function-3"}),
+        (G2_DUMP, {"g2_function-2"}),
+    ])
+    def test_cold_and_warm_same_bytes(self, python_process, tmp_path, args, builders):
+        home = tmp_path / "cache"
+        argv = ["-m", "frobg2.cli"] + args.split()
+        cold = python_process(argv)
+        stored = self._store(home)
+        assert {name.rsplit("-", 1)[0] for name in stored} == builders
+        warm = python_process(argv)
+        assert cold.returncode == warm.returncode == 0
+        assert warm.stdout == cold.stdout
+        # a warm call loads and writes nothing: every file is the one written cold
+        assert self._store(home) == stored
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-json", "wrong-root",
+                                        "wrong-count"])
+    def test_bad_file_is_rebuilt(self, runner, tmp_path, monkeypatch, damage):
+        args = G2_DUMP.split()
+        monkeypatch.setattr(genus2, "_built", {})
+        first = runner.invoke(main, args)
+        (path,) = (tmp_path / "cache" / "frobg2").iterdir()
+        good = path.read_text()
+        head, rows = good.split("\n", 1)
+        header = json.loads(head + "]}")
+        if damage == "truncated":
+            bad = good[:len(good) // 2]
+        elif damage == "not-json":
+            bad = good.replace("[", "(")
+        elif damage == "wrong-root":
+            bad = head.replace(str(header["root"]), str(header["root"] + 1)) + "\n" + rows
+        else:
+            bad = head.replace('"nodes": %d' % header["nodes"],
+                               '"nodes": %d' % (header["nodes"] + 1)) + "\n" + rows
+        assert bad != good
+        path.write_text(bad)
+        monkeypatch.setattr(genus2, "_built", {})
+        again = runner.invoke(main, args)
+        assert first.exit_code == again.exit_code == 0
+        assert _digest(first.stdout_bytes) == _digest(again.stdout_bytes) == G2_DUMP_DIGEST
+        assert path.read_text() == good
+
+    def test_cache_home_is_a_file(self, runner, tmp_path, monkeypatch):
+        # nothing can be read or written there: the verb builds as without a store
+        home = tmp_path / "file"
+        home.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        monkeypatch.setattr(genus2, "_built", {})
+        res = runner.invoke(main, G2_DUMP.split())
+        assert res.exit_code == 0
+        assert _digest(res.stdout_bytes) == G2_DUMP_DIGEST
+        assert home.read_text() == ""
+
+    def test_loaded_dag_is_the_built_one(self, python_process):
+        # in a fresh process, the decomposition residual loaded from the
+        # store is the very DAG a later build returns: the nodes are
+        # created in the order the writing process created them, so the
+        # operands whose hashes tie are ordered alike
+        assert python_process(["-m", "frobg2.cli", "verify-decomposition", "--n", "3",
+                               "--trials", "1"]).returncode == 0
+        script = "\n".join([
+            "from frobg2 import genus2",
+            "from frobg2.algebra import Algebra",
+            "builder = genus2._TableBuilder",
+            "genus2._TableBuilder = None  # a build would fail",
+            "with genus2.stored_builds():",
+            "    loaded = genus2.decomposition_residual(Algebra(3))",
+            "genus2._TableBuilder = builder",
+            "genus2._built.clear()",
+            "assert genus2.decomposition_residual(Algebra(3)) is loaded",
+        ])
+        res = python_process(["-c", script])
+        assert res.returncode == 0, res.stderr.decode()

@@ -272,11 +272,30 @@ class TestPinnedDags:
         dump(build(Algebra(n)), lambda chunk: sha.update(chunk.encode()))
         assert sha.hexdigest() == digest
 
+    @pytest.mark.parametrize("build,n,digest", PINNED_DAGS,
+                             ids=["%s-%d" % (b.__name__, n) for b, n, _ in PINNED_DAGS])
+    def test_dump_digest_on_a_store_hit(self, monkeypatch, build, n, digest):
+        # the DAG written to the store loads back as the same nodes, with
+        # nothing built
+        built = build(Algebra(n))
+        with genus2.stored_builds():
+            genus2._write_stored(built, genus2._store_path(build.__name__, n))
+
+            def rebuilt(alg):
+                raise AssertionError("rebuilt at n=%d" % alg.n)
+
+            monkeypatch.setattr(genus2, "_built", {})
+            monkeypatch.setattr(genus2, "CorrelatorTable", rebuilt)
+            monkeypatch.setattr(genus2, "_TableBuilder", rebuilt)
+            loaded = build(Algebra(n))
+        assert loaded is built
+        self.test_dump_digest(lambda alg: loaded, n, digest)
+
 
 class TestTermTableGate:
     @pytest.mark.parametrize("table", ["f2", "g2"])
     @pytest.mark.parametrize("delta", [0, 1], ids=["as-is", "perturbed"])
-    def test_one_coefficient(self, monkeypatch, table, delta):
+    def test_one_coefficient(self, monkeypatch, warm_store, table, delta):
         # the gate can fail: one term-table coefficient moved by delta
         # breaks the decomposition, and a swapped-in copy of the data is
         # read afresh, with no factor or coefficient memo left over
@@ -293,7 +312,7 @@ class TestTermTableGate:
 class TestConstantsGate:
     @pytest.mark.parametrize("name", ["Q1", "Q16"])
     @pytest.mark.parametrize("delta", [0, 1], ids=["as-is", "perturbed"])
-    def test_one_constant(self, monkeypatch, name, delta):
+    def test_one_constant(self, monkeypatch, warm_store, name, delta):
         # the gate can fail: one of the sixteen constants moved by delta
         # breaks the decomposition; the cached DAG holds the old
         # constants, so the residual is built afresh
