@@ -221,12 +221,14 @@ _store = None  # the store directory while stored_builds() is on
 @contextmanager
 def stored_builds():
     """Within this block, ``_kept`` loads a DAG it does not hold from the
-    store directory, and writes there one it builds."""
+    store directory, and writes there one it builds.  With no absolute
+    ``XDG_CACHE_HOME`` and no home directory to fall back on, the store
+    stays off, so nothing is written relative to the working directory."""
     global _store
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
-    _store = os.path.join(base, "frobg2")
+    _store = os.path.join(base, "frobg2") if os.path.isabs(base) else None
     try:
         yield
     finally:
@@ -275,8 +277,10 @@ def _load_stored(path):
 
 def _write_stored(e, path):
     """Store the kept DAG ``e`` at ``path`` through a temporary file and
-    ``os.replace``, so no reader sees a partial file.  A store that
-    cannot be written is left as it is."""
+    ``os.replace``, so no reader sees a partial file, then remove the
+    files of the same builder and ``n`` under other source keys, so the
+    store holds one version of each.  A store that cannot be written is
+    left as it is."""
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -284,10 +288,24 @@ def _write_stored(e, path):
             save(e, fh.write)
         os.replace(tmp, path)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _unlink(tmp)
+        return
+    folder, name = os.path.split(path)
+    prefix = name[:name.rindex("-") + 1]  # "<builder>-<n>-"
+    try:
+        stale = [f for f in os.listdir(folder)
+                 if f.startswith(prefix) and f.endswith(".json") and f != name]
+    except OSError:
+        return
+    for f in stale:
+        _unlink(os.path.join(folder, f))
+
+
+def _unlink(path):
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def _kept(build):

@@ -3,6 +3,7 @@ reproducibility."""
 
 import hashlib
 import json
+import os
 
 import mpmath
 import pytest
@@ -354,6 +355,36 @@ class TestStoredBuilds:
         assert res.exit_code == 0
         assert _digest(res.stdout_bytes) == G2_DUMP_DIGEST
         assert home.read_text() == ""
+
+    def test_no_home_no_store(self, runner, tmp_path, monkeypatch):
+        # no XDG_CACHE_HOME and no home directory: expanduser leaves "~"
+        # as it is, and the store must not become the relative "~/.cache"
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(genus2, "_built", {})
+        res = runner.invoke(main, G2_DUMP.split())
+        assert res.exit_code == 0
+        assert _digest(res.stdout_bytes) == G2_DUMP_DIGEST
+        assert list(tmp_path.iterdir()) == []
+
+    def test_other_versions_are_removed(self, runner, tmp_path, monkeypatch):
+        # a write replaces the same builder and n under any other source
+        # key, and leaves every other file alone
+        root = tmp_path / "cache" / "frobg2"
+        root.mkdir(parents=True)
+        old = ["g2_function-2-%s.json" % key for key in ("0" * 64, "old")]
+        kept = ["g2_function-20-old.json", "f2_reference-2-old.json",
+                "g2_function-2-old.json.123.tmp", "notes.txt"]
+        for name in old + kept:
+            (root / name).write_text("{}")
+        monkeypatch.setattr(genus2, "_built", {})
+        res = runner.invoke(main, G2_DUMP.split())
+        assert res.exit_code == 0
+        assert _digest(res.stdout_bytes) == G2_DUMP_DIGEST
+        written = "g2_function-2-%s.json" % genus2._source_key()
+        assert sorted(p.name for p in root.iterdir()) == sorted(kept + [written])
 
     def test_loaded_dag_is_the_built_one(self, python_process):
         # in a fresh process, the decomposition residual loaded from the
