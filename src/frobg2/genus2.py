@@ -319,20 +319,22 @@ def _kept(build):
     Inside ``stored_builds()`` a DAG not yet kept is loaded from
     ``<builder>-<n>-<source key>.json`` in the store directory instead,
     and one that is built after all (no such file, or one that does not
-    load) is written there by this process.  A loaded DAG is kept
-    exactly as a built one is."""
+    load) is written there by this process.  A loaded DAG comes kept
+    from ``expr.load``, in the order of its rows, without a walk."""
     @functools.wraps(build)
     def kept(alg):
         key = (build, alg.n)
         out = _built.get(key)
         if out is None:
             path = _store_path(build.__name__, alg.n)
-            stored = path and _load_stored(path)
-            out = _built[key] = stored or build(Algebra(alg.n))
-            keep_schedule(out)
+            out = path and _load_stored(path)
+            if not out:
+                out = build(Algebra(alg.n))
+                keep_schedule(out)
+                if path:
+                    _write_stored(out, path)
+            _built[key] = out
             kept_dag()
-            if path and not stored:
-                _write_stored(out, path)
         return out
     return kept
 

@@ -1,6 +1,7 @@
 """Evaluation-kernel tests: numeric evaluation and its magnitude stats
 are bit-identical to the plain fold that takes ``float(abs())`` of every
-addend and lets mpmath convert a rational operand on every use, and
+addend and lets mpmath convert a rational operand on every use, the
+numeric kernel's fused complex operations round as libmp's do, and
 exact evaluation on integer numerator/denominator pairs gives the plain
 fold's values, types and radical coefficient order."""
 
@@ -9,6 +10,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import (
+    from_man_exp, fzero, mpc_add, mpc_mul, mpc_mul_mpf, mpf_add, mpf_mul, mpf_pos, mpf_sub,
+)
 
 from frobg2 import expr as ex
 from frobg2.algebra import Algebra, EvalContext, ResampleNeeded, random_context
@@ -74,12 +79,15 @@ def _reference_evaluate(e, gen_value, cache, stats=None):
 
 
 class TestNumericEvaluation:
-    @pytest.mark.parametrize("spec", [FamilySpec.ApqOrbifold(2, 2), FamilySpec.DrOrbifold(1)],
-                             ids=lambda s: s.label)
-    def test_bit_identical_to_reference(self, spec):
-        alg = Algebra(4)
-        exprs = [g2_function(alg), o_difference_graphs(alg)]
-        for seed in (1, 2):
+    @pytest.mark.parametrize("spec,builds,seeds", [
+        (FamilySpec.ApqOrbifold(2, 2), (g2_function, o_difference_graphs), (1, 2)),
+        (FamilySpec.DrOrbifold(1), (g2_function, o_difference_graphs), (1, 2)),
+        (FamilySpec.E6(), (g2_function, relation_expression), (1,)),
+    ], ids=["Apq(2,2)", "Dr(1)", "E6"])
+    def test_bit_identical_to_reference(self, spec, builds, seeds):
+        alg = Algebra(spec.n)
+        exprs = [build(alg) for build in builds]
+        for seed in seeds:
             point = sample(spec, seed=seed)
             with mpmath.workprec(256 + 64):
                 ctx = point.context()
@@ -295,3 +303,122 @@ class TestEvalStats:
                     stats.note(v)
                     ref.note(v)
                     assert stats.max_mag == ref.max_mag, seq
+
+
+# ---------------------------------------------------------------------------
+# the numeric kernel's fused operations against libmp
+
+
+def _part(man, exp=0):
+    """The mpf part man * 2**exp, normalized and not rounded."""
+    return from_man_exp(man, exp)
+
+
+@st.composite
+def _parts(draw, prec):
+    """An mpf part: zero, or a mantissa of up to 2 * prec bits (a power
+    of two, all ones, a power of two plus one, or any) whose top bit is
+    near 2**0 or more than 100 bits away from it."""
+    kind = draw(st.sampled_from(["zero", "pow2", "ones", "pow2+1", "any", "any"]))
+    if kind == "zero":
+        return fzero
+    bits = draw(st.integers(1, 2 * prec))
+    man = {"pow2": 1, "ones": (1 << bits) - 1, "pow2+1": (1 << bits) + 1}.get(kind)
+    if man is None:
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    top = draw(st.integers(-8, 8) | st.integers(101, 3 * prec) | st.integers(-3 * prec, -101))
+    return _part(draw(st.sampled_from([man, -man])), top - man.bit_length())
+
+
+@st.composite
+def _operands(draw):
+    prec = draw(st.sampled_from([53, 256, 320]))
+    z, w = (draw(st.tuples(_parts(prec), _parts(prec))) for _ in range(2))
+    return prec, z, w
+
+
+def _far_cases(prec):
+    """Operands more than 100 bits apart, where mpf_add only perturbs the
+    larger by one unit at prec + 4 bits and so rounds otherwise than the
+    exact sum would: below the round bit of ``near`` (2 * prec bits, just
+    short of a tie) a smaller operand carries into that round bit."""
+    near = (1 << (2 * prec - 1)) + (1 << (prec - 1)) - 1
+    # as two parts: at prec = 320, a 640-bit mantissa at exponent 400 and
+    # (1 << 639) | 1 at exponent 0
+    s, t = _part(near, min(prec + 80, 2 * prec - 1)), _part((1 << (2 * prec - 1)) | 1)
+    # as the exact products of mpc_mul's real part a*c - b*d, with
+    # a = b = 2**prec - 1 and c = 2**(prec - 1) + 1, so that a*c == near
+    a, c = (1 << prec) - 1, (1 << (prec - 1)) + 1
+    return [
+        ((s, _part(1)), (t, _part(-1, -500))),
+        ((s, _part(-1)), (_part(-((1 << (2 * prec - 1)) | 1)), _part(1, 300))),
+        ("mul", (_part(a), _part(-a)), (_part(c), _part(c, 2 - 2 * prec))),
+        ("mul", (_part(-a), _part(a)), (_part(c), _part(c, 2 - 2 * prec))),
+    ]
+
+
+def _fused_cases(prec):
+    """Hand-made (z, w) pairs: zero parts, powers of two and all-ones
+    mantissas, exact cancellation, ties, and operands far apart."""
+    one, ones = _part(1), _part((1 << prec) - 1)
+    top = _part(1, prec)  # 2**prec + 1 and + 3 lie halfway between prec-bit values
+    return [
+        ((fzero, one), (ones, _part(1, -1))),
+        ((ones, fzero), (fzero, fzero)),
+        ((ones, _part(-5, 3)), (_part(-((1 << prec) - 1)), _part(5, 3))),  # z + (-z)
+        ((ones, top), (top, ones)),  # a*c - b*d == 0
+        ((top, _part(-1)), (one, one)),  # 2**prec + 1: even is down
+        ((top, _part(-1)), (one, _part(3))),  # 2**prec + 3: even is up
+        ((top, _part(3)), (one, one)),
+        ((_part((1 << prec) + 1), _part((1 << prec) + 3)), (one, _part(1, 1))),
+        ((ones, _part(1, -200)), (_part(1, 150), ones)),
+    ] + _far_cases(prec)
+
+
+def _check_fused(z, w, prec, ops=("add", "mul", "scale")):
+    if "add" in ops:
+        assert ex._cadd(z, w, prec, "n") == mpc_add(z, w, prec, "n")
+    if "mul" in ops:
+        assert ex._cmul(z, w, prec, "n") == mpc_mul(z, w, prec, "n")
+    if "scale" in ops:
+        for x in w:
+            assert ex._cscale(z, x, prec, "n") == mpc_mul_mpf(z, x, prec, "n")
+
+
+class TestFusedOperations:
+    """The numeric kernel's complex sum, complex product and complex
+    times real product round the same bits as libmp's mpc_add, mpc_mul
+    and mpc_mul_mpf at round-to-nearest."""
+
+    @pytest.mark.parametrize("prec", [53, 256, 320])
+    def test_cases(self, prec):
+        for case in _fused_cases(prec):
+            if case[0] == "mul":
+                _check_fused(case[1], case[2], prec, ("mul",))
+            else:
+                _check_fused(case[0], case[1], prec)
+
+    @pytest.mark.parametrize("prec", [53, 256, 320])
+    def test_far_apart_is_not_the_rounded_exact_sum(self, prec):
+        # the far cases do reach the branch that rounds otherwise
+        cases = _far_cases(prec)
+        (s, _), (t, _) = cases[0]
+        exact = mpf_add(s, t)  # prec=0: no rounding
+        assert mpc_add(*cases[0], prec, "n")[0] != mpf_pos(exact, prec, "n")
+        z, w = cases[2][1:]
+        exact = mpf_sub(mpf_mul(z[0], w[0]), mpf_mul(z[1], w[1]))
+        assert mpc_mul(z, w, prec, "n")[0] != mpf_pos(exact, prec, "n")
+
+    @given(_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_random_operands(self, operands):
+        prec, z, w = operands
+        _check_fused(z, w, prec)
+
+    def test_other_rounding_is_libmp(self):
+        z = (_part(3, -1), _part(-5, 2))
+        w = (_part((1 << 300) - 1, -299), _part(7))
+        for rnd in "fcdu":
+            assert ex._cmul(z, w, 53, rnd) == mpc_mul(z, w, 53, rnd)
+            assert ex._cadd(z, w, 53, rnd) == mpc_add(z, w, 53, rnd)
+            assert ex._cscale(z, w[0], 53, rnd) == mpc_mul_mpf(z, w[0], 53, rnd)
