@@ -913,11 +913,11 @@ def load(text):
     TypeError or ZeroDivisionError of malformed text) unless the text is
     such a DAG with the node count and root ``shash`` its header gives.
     Operands are taken in the order stored, not re-sorted by this
-    process's sids.  The DAG comes kept (``keep_schedule``), its rows,
-    taken to be the nodes the root reaches as ``save`` writes them, in
-    place of a walk.  They come after their operands, and the nodes new
-    to this process get increasing sids in row order, so sorting them
-    by ``sid`` is close to linear."""
+    process's sids.  The DAG comes kept (``keep_schedule``) with its
+    rows, taken to be the nodes the root reaches as ``save`` writes
+    them, in place of a walk.  They come after their operands, and the
+    nodes new to this process get increasing sids in row order, so
+    sorting them by ``sid`` is close to linear."""
     data = json.loads(text)
     rows = data["rows"]
     if type(rows) is not list or not rows or len(rows) != data["nodes"]:
@@ -951,5 +951,8 @@ def load(text):
     root = nodes[-1]
     if root.shash != data["root"]:
         raise ValueError("root hash does not match")
-    keep_schedule(root, nodes)
+    # the kept list is made after the parsed text is freed, so that it
+    # does not hold the heap above that text's freed space
+    rows = data = None
+    keep_schedule(root, nodes[:])
     return root
