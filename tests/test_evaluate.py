@@ -352,8 +352,8 @@ def _far_cases(prec):
     return [
         ((s, _part(1)), (t, _part(-1, -500))),
         ((s, _part(-1)), (_part(-((1 << (2 * prec - 1)) | 1)), _part(1, 300))),
-        ("mul", (_part(a), _part(-a)), (_part(c), _part(c, 2 - 2 * prec))),
-        ("mul", (_part(-a), _part(a)), (_part(c), _part(c, 2 - 2 * prec))),
+        ((_part(a), _part(-a)), (_part(c), _part(c, 2 - 2 * prec))),
+        ((_part(-a), _part(a)), (_part(c), _part(c, 2 - 2 * prec))),
     ]
 
 
@@ -375,14 +375,11 @@ def _fused_cases(prec):
     ] + _far_cases(prec)
 
 
-def _check_fused(z, w, prec, ops=("add", "mul", "scale")):
-    if "add" in ops:
-        assert ex._cadd(z, w, prec, "n") == mpc_add(z, w, prec, "n")
-    if "mul" in ops:
-        assert ex._cmul(z, w, prec, "n") == mpc_mul(z, w, prec, "n")
-    if "scale" in ops:
-        for x in w:
-            assert ex._cscale(z, x, prec, "n") == mpc_mul_mpf(z, x, prec, "n")
+def _check_fused(z, w, prec):
+    assert ex._cadd(z, w, prec, "n") == mpc_add(z, w, prec, "n")
+    assert ex._cmul(z, w, prec, "n") == mpc_mul(z, w, prec, "n")
+    for x in w:
+        assert ex._cscale(z, x, prec, "n") == mpc_mul_mpf(z, x, prec, "n")
 
 
 class TestFusedOperations:
@@ -392,11 +389,8 @@ class TestFusedOperations:
 
     @pytest.mark.parametrize("prec", [53, 256, 320])
     def test_cases(self, prec):
-        for case in _fused_cases(prec):
-            if case[0] == "mul":
-                _check_fused(case[1], case[2], prec, ("mul",))
-            else:
-                _check_fused(case[0], case[1], prec)
+        for z, w in _fused_cases(prec):
+            _check_fused(z, w, prec)
 
     @pytest.mark.parametrize("prec", [53, 256, 320])
     def test_far_apart_is_not_the_rounded_exact_sum(self, prec):
@@ -405,7 +399,7 @@ class TestFusedOperations:
         (s, _), (t, _) = cases[0]
         exact = mpf_add(s, t)  # prec=0: no rounding
         assert mpc_add(*cases[0], prec, "n")[0] != mpf_pos(exact, prec, "n")
-        z, w = cases[2][1:]
+        z, w = cases[2]
         exact = mpf_sub(mpf_mul(z[0], w[0]), mpf_mul(z[1], w[1]))
         assert mpc_mul(z, w, prec, "n")[0] != mpf_pos(exact, prec, "n")
 
