@@ -32,21 +32,18 @@ from itertools import product
 
 from . import expr as ex
 from .expr import (
-    GK_GAMMA,
     GK_H,
     GK_JET,
     GK_U,
     ONE,
     ZERO,
     add,
-    const,
     derive,
     div,
     gamma,
     h,
     jet,
     mul,
-    pow_,
     sub,
     u,
 )
@@ -69,8 +66,7 @@ class Algebra:
     def _dh_du(self, i, k):
         if k != i:
             return mul(gamma(i, k), h(k))
-        return ex.neg(add(*[mul(gamma(i, l), h(l)) for l in range(1, self.n + 1) if l != i])) \
-            if self.n > 1 else ZERO
+        return ex.neg(add(*[mul(gamma(i, l), h(l)) for l in self.indices() if l != i]))
 
     def _dgamma_du(self, i, j, k):
         # i < j by construction of the generator
@@ -83,7 +79,7 @@ class Algebra:
         # dgamma_ab/du_a = (sum_l (u_b - u_l) gamma_al gamma_lb - gamma_ab)/(u_a - u_b)
         terms = [
             mul(sub(u(b), u(l)), gamma(a, l), gamma(l, b))
-            for l in range(1, self.n + 1)
+            for l in self.indices()
             if l != a and l != b
         ]
         terms.append(ex.neg(gamma(a, b)))
@@ -127,10 +123,8 @@ class Algebra:
             if kind == GK_JET:
                 return jet(i, p + 1)
             if kind == GK_H:
-                return add(*[mul(self._dh_du(i, k), jet(k, 1)) for k in range(1, self.n + 1)])
-            return add(
-                *[mul(self._dgamma_du(i, p, k), jet(k, 1)) for k in range(1, self.n + 1)]
-            )
+                return add(*[mul(self._dh_du(i, k), jet(k, 1)) for k in self.indices()])
+            return add(*[mul(self._dgamma_du(i, p, k), jet(k, 1)) for k in self.indices()])
 
         return derive(e, rule, cache)
 
@@ -143,10 +137,8 @@ class Algebra:
         if out is not None:
             return out
         if i == j == k:
-            out = ex.neg(
-                add(*[mul(gamma(i, l), div(h(l), h(i)))
-                      for l in range(1, self.n + 1) if l != i])
-            ) if self.n > 1 else ZERO
+            out = ex.neg(add(*[mul(gamma(i, l), div(h(l), h(i)))
+                               for l in self.indices() if l != i]))
         elif k == i and i != j:
             out = mul(gamma(i, j), div(h(j), h(i)))
         elif k == j and j != i:
@@ -243,16 +235,6 @@ def _worker_count(points):
     return min(points, len(os.sched_getaffinity(0)))
 
 
-_uncollected = False  # a DAG was kept since the last collection before forking
-
-
-def kept_dag():
-    """Note a DAG kept for the life of the process (``genus2._kept``):
-    the next fork collects the heap first."""
-    global _uncollected
-    _uncollected = True
-
-
 def forked_map(fn, items):
     """``[fn(x) for x in items]``, the items dealt in contiguous shares,
     in item order and the earlier shares the longer ones, to this
@@ -264,8 +246,9 @@ def forked_map(fn, items):
     own is raised at once, and a worker's with the worker's traceback as
     its cause.  The workers after it are killed unread, as is every
     worker still running when this process leaves: all are reaped
-    before it does."""
-    global _uncollected
+    before it does.  The heap is collected before forking only when a
+    DAG was kept (``expr.keep_schedule``) since the last such
+    collection."""
     n = len(items)
     workers = _worker_count(n)
     if workers < 2:
@@ -282,9 +265,9 @@ def forked_map(fn, items):
     # a few n=4 DAGs are kept, and sampling and evaluation leave no
     # cycles for it, so a map on a DAG kept before the last collection
     # skips it.
-    if _uncollected:
+    if ex.collect_before_fork:
         gc.collect()
-        _uncollected = False
+        ex.collect_before_fork = False
     gc.freeze()  # so that no worker's collector writes to the shared heap
     try:
         for j in range(1, workers):

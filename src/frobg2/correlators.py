@@ -41,7 +41,7 @@ def h_function(alg, i):
         for j in alg.indices()
         if j != i
     ]
-    return add(*terms) if terms else ZERO
+    return add(*terms)
 
 
 class CorrelatorTable:
@@ -166,7 +166,7 @@ class CorrelatorTable:
                 if Xs is ZERO:
                     continue
                 terms.append(neg(mul(Xs, gam, jet(last, 1))))
-        out = add(*terms) if terms else ZERO
+        out = add(*terms)
         if memo is not None:
             memo[t] = out
         return out

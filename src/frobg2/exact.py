@@ -17,7 +17,7 @@ leans on:
 
 Root finding uses the Aberth-Ehrlich simultaneous iteration with
 deterministic starting points on a Cauchy-bound circle; if it stalls we
-fall back to mpmath's companion-matrix solver.  Residues are computed by
+fall back to ``mpmath.polyroots`` (Durand-Kerner).  Residues are computed by
 local power-series expansion, never by numerical contour integration.
 """
 
@@ -330,8 +330,8 @@ def poly_roots(p, precision=DEFAULT_PRECISION):
 
     Aberth-Ehrlich iteration at working precision 2*precision with
     deterministic starting points; accepts when the summed relative
-    residual drops below 2**(-precision/2).  Falls back to mpmath's
-    companion-matrix solver before giving up.
+    residual drops below 2**(-precision/2).  Falls back to
+    ``mpmath.polyroots``, a Durand-Kerner iteration, before giving up.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")

@@ -25,7 +25,6 @@ creates its nodes in the order the build did.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from fractions import Fraction
 from math import frexp, gcd, isfinite, isinf
 from operator import attrgetter
@@ -298,7 +297,7 @@ def derive(e, leaf_rule, cache):
             if df is ZERO:
                 continue
             terms.append(mul(df, *args[:i], *args[i + 1:]))
-        out = add(*terms) if terms else ZERO
+        out = add(*terms)
     else:  # OP_POW
         b, k = e.args
         db = derive(b, leaf_rule, cache)
@@ -334,18 +333,24 @@ def _postorder(e):
 
 # root -> its postorder, for the DAGs kept for the life of the process
 _schedules = {}
+# a DAG was kept since the heap was last collected before forking
+# (``algebra.forked_map`` reads and clears it)
+collect_before_fork = False
 
 
 def keep_schedule(e, nodes=None):
     """Evaluate e in increasing ``sid`` order from now on: the order the
     nodes were created in, in which every node comes after its operands
     and the root comes last.  For a DAG that lives as long as the
-    process: the order is kept as long.  The nodes are found by a walk
-    of e, or given as the list ``nodes`` (``load`` gives its rows),
-    which is then sorted in place."""
+    process: the order is kept as long, and the next fork collects the
+    heap first.  The nodes are found by a walk of e, or given as the
+    list ``nodes`` (``load`` gives its rows), which is then sorted in
+    place."""
+    global collect_before_fork
     order = _postorder(e) if nodes is None else nodes
     order.sort(key=_sid)
     _schedules[e] = order
+    collect_before_fork = True
 
 
 def _schedule(e):
@@ -884,11 +889,13 @@ def save(e, write):
     node count, then one row per node in the kept order, which is
     increasing ``sid``, so the root is the last row.  A row is
     ``[op, numerator, denominator]``, ``[op, kind, i, p]``,
-    ``[op, base row, exponent]`` or ``[op, operand rows...]``.  An
-    operand's row is found by bisection on ``sid`` in the kept order, so
-    nothing but that order is held."""
+    ``[op, base row, exponent]`` or ``[op, operand rows...]``.  The kept
+    order puts every operand before its user, so each node is numbered
+    as its row is written, in a ``{node: row text}`` map that lives only
+    for the call."""
     order = _schedules[e]
     write('{"root": %d, "nodes": %d, "rows": [\n' % (e.shash, len(order)))
+    rows = {}
     sep = ""
     for node in order:
         op, args = node.op, node.args
@@ -898,10 +905,10 @@ def save(e, write):
         elif op == OP_GEN:
             row = "%d,%d,%d,%d" % ((op,) + args)
         elif op == OP_POW:
-            row = "%d,%d,%d" % (op, bisect_left(order, args[0].sid, key=_sid), args[1])
+            row = "%d,%s,%d" % (op, rows[args[0]], args[1])
         else:
-            row = "%d,%s" % (op, ",".join(
-                [str(bisect_left(order, c.sid, key=_sid)) for c in args]))
+            row = "%d,%s" % (op, ",".join([rows[c] for c in args]))
+        rows[node] = str(len(rows))
         write("%s[%s]" % (sep, row))
         sep = ",\n"
     write("\n]}\n")

@@ -53,6 +53,7 @@ from .exact import (
     NonConvergenceError,
     Poly,
     _is_zero,
+    _to_mpc as _scalar_to_mpc,
     poly_roots,
     residue,
     residue_at_infinity,
@@ -167,17 +168,11 @@ def _monic_from_roots(roots, lead=Fraction(1)):
 
 
 def _rand_mpc(rng, bound=8):
-    re = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-    im = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-    return (re, im)
+    return random_rational(rng, bound), random_rational(rng, bound)
 
 
 def _to_mpc(pair):
-    re, im = pair
-    return mpmath.mpc(
-        mpmath.mpf(re.numerator) / re.denominator,
-        mpmath.mpf(im.numerator) / im.denominator,
-    )
+    return mpmath.mpc(*map(_scalar_to_mpc, pair))
 
 
 def _rat_deriv(num, den):

@@ -40,9 +40,7 @@ from importlib import resources
 from itertools import product
 from operator import itemgetter
 
-from .algebra import (
-    Algebra, ResampleNeeded, draw_stream, kept_dag, random_context,
-)
+from .algebra import Algebra, ResampleNeeded, draw_stream, random_context
 from .correlators import CorrelatorTable, h_function
 from .exact import row_reduce
 from .expr import (
@@ -86,8 +84,12 @@ _G2_DATA = _load("g2_terms.json")
 # term-table interpretation
 
 
-# the factor kinds derived from the generators, built from their indices
+# the factor kinds other than ``jet`` and ``poly``, built from their indices
 _DERIVED = {
+    "du": lambda alg, a, b: sub(u(a), u(b)),
+    "V": lambda alg, a, b: mul(sub(u(b), u(a)), gamma(a, b)),
+    "h": lambda alg, i: h(i),
+    "g": lambda alg, a, b: gamma(a, b),
     "H": h_function,
     "dh": lambda alg, i: alg.partial_u(h(i), i),
     "dxh": lambda alg, i: alg.total_x(h(i)),
@@ -129,17 +131,8 @@ class _TableBuilder:
     def _make(self, rec, tup):
         kind = rec[0]
         exp = rec[-1]
-        if kind == "du":
-            base = sub(u(tup[rec[1]]), u(tup[rec[2]]))
-        elif kind == "V":
-            a, b = tup[rec[1]], tup[rec[2]]
-            base = mul(sub(u(b), u(a)), gamma(a, b))
-        elif kind == "jet":
+        if kind == "jet":
             base = jet(tup[rec[1]], rec[2])
-        elif kind == "h":
-            base = h(tup[rec[1]])
-        elif kind == "g":
-            base = gamma(tup[rec[1]], tup[rec[2]])
         elif kind == "poly":
             parts = []
             for coeff, factors in rec[1]:
@@ -147,7 +140,7 @@ class _TableBuilder:
                 for f in factors:
                     fs.append(self._make(f, tup))
                 parts.append(mul(*fs))
-            base = add(*parts) if parts else ZERO
+            base = add(*parts)
         else:
             make = _DERIVED.get(kind)
             if make is None:
@@ -198,17 +191,16 @@ class _TableBuilder:
 
     def table(self, data, outer):
         """Sum the table's terms over their non-outer slots."""
-        n = self.alg.n
         out = []
         for term in data["terms"]:
             extra = term["s"] - len(outer)
             if extra < 0:
                 raise ValueError("term %r has fewer slots than the table" % term["id"])
-            for idx in product(range(1, n + 1), repeat=extra):
+            for idx in product(self.alg.indices(), repeat=extra):
                 e = self.term(term, outer + idx)
                 if e is not None:
                     out.append(e)
-        return add(*out) if out else ZERO
+        return add(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +303,10 @@ def _unlink(path):
 def _kept(build):
     """``build(alg)`` as a DAG built on the first call at each ``alg.n``,
     on a fresh ``Algebra(n)``, and kept for the life of the process with
-    its evaluation order (``expr.keep_schedule``), so no evaluation walks
-    it again.  Only the finished DAG is kept; the build's Algebra and
-    CorrelatorTable, with their derive caches, are dropped when it
-    returns.
+    its evaluation order (``expr.keep_schedule``, which also has the next
+    fork collect the heap first), so no evaluation walks it again.  Only
+    the finished DAG is kept; the build's Algebra and CorrelatorTable,
+    with their derive caches, are dropped when it returns.
 
     Inside ``stored_builds()`` a DAG not yet kept is loaded from
     ``<builder>-<n>-<source key>.json`` in the store directory instead,
@@ -334,7 +326,6 @@ def _kept(build):
                 if path:
                     _write_stored(out, path)
             _built[key] = out
-            kept_dag()
         return out
     return kept
 
@@ -367,7 +358,7 @@ def g2_function(alg):
                     parts.append(
                         mul(gij, pow_(jet(j, 1), 3), pow_(jet(i, 1), -1))
                     )
-    return add(*parts) if parts else ZERO
+    return add(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +469,7 @@ def o_difference_closed_form(alg):
                         pow_(h(j), -3),
                     )
                 )
-    return add(*terms) if terms else ZERO
+    return add(*terms)
 
 
 @_kept

@@ -192,7 +192,6 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
     A vertex function is the vertex correlator summed over the indices
     of the vertex's legs; see :func:`_leg_sum`.  Its memo lives on the
     table, so every graph contracted on one table shares it."""
-    n = table.n
     incident = [[] for _ in range(g.n_vertices)]
     for eid, (a, b) in enumerate(g.edges):
         incident[a].append(eid)
@@ -208,7 +207,7 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
             raise ValueError("genus-1 vertex valence %d unsupported" % deg)
 
     total = []
-    for assign in product(range(1, n + 1), repeat=g.n_edges):
+    for assign in product(table.alg.indices(), repeat=g.n_edges):
         factors = []
         for v in range(g.n_vertices):
             edge_idx = tuple(sorted(assign[eid] for eid in incident[v]))
@@ -220,7 +219,7 @@ def graph_function(g: DualGraph, table: CorrelatorTable):
             for eid in range(g.n_edges):
                 factors.append(table.edge_weight(assign[eid]))
             total.append(mul(*factors))
-    return add(*total) if total else ZERO
+    return add(*total)
 
 
 def _leg_sum(table, genus, t, m):

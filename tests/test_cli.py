@@ -286,6 +286,16 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+# store file (by builder and n) -> sha256, after a cold
+# "verify-decomposition --n 2 --trials 1"
+COLD_STORE = {
+    "decomposition_residual-2":
+        "3fc889a31ccc4b2e331fa5bde993457cd0c9a60119b2497df35a086176643b93",
+    "f2_reference-2": "4042c24131068dd7b859a7c74fa8c371457e68c7ac927e28a82961ed37b75793",
+    "g2_function-2": "280c95702dbfd7c5095d31092e981b7a6c064a62db17968aa2599701ca9d92d4",
+}
+
+
 class TestStoredBuilds:
     """Every verb runs with the DAG store on (``genus2.stored_builds``):
     a cold call builds its DAGs and writes them to
@@ -317,6 +327,15 @@ class TestStoredBuilds:
         assert warm.stdout == cold.stdout
         # a warm call loads and writes nothing: every file is the one written cold
         assert self._store(home) == stored
+
+    def test_cold_store_bytes(self, python_process, tmp_path):
+        # the files a cold call writes, pinned byte for byte
+        res = python_process(["-m", "frobg2.cli", "verify-decomposition", "--n", "2",
+                              "--trials", "1"])
+        assert res.returncode == 0
+        root = tmp_path / "cache" / "frobg2"
+        assert {p.name.rsplit("-", 1)[0]: _digest(p.read_bytes())
+                for p in root.iterdir()} == COLD_STORE
 
     @pytest.mark.parametrize("damage", ["truncated", "not-json", "wrong-root",
                                         "wrong-count"])

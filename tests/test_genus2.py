@@ -13,11 +13,13 @@ Key oracles:
 
 import copy
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from frobg2 import expr as ex
 from frobg2 import genus2
 from frobg2.algebra import Algebra, random_context
 from frobg2.correlators import CorrelatorTable
@@ -121,8 +123,8 @@ class TestDecomposition:
             assert g2_small_phase(alg, ctx) == g2_small_phase(alg, rejet)
 
     def test_small_phase_generic_nonzero(self, alg2):
-        # vanishing of the restriction characterizes the families where
-        # the full correction term vanishes; a generic point is not one
+        # the restriction does not vanish identically: it is nonzero at
+        # some generic exact point
         rng = random.Random(59)
         assert any(
             g2_small_phase(alg2, random_context(2, rng)) != 0 for _ in range(5)
@@ -290,6 +292,30 @@ class TestPinnedDags:
             loaded = build(Algebra(n))
         assert loaded is built
         self.test_dump_digest(lambda alg: loaded, n, digest)
+
+
+class TestStoredRows:
+    def test_operands_are_kept_positions(self):
+        # the n=3 residual shares subterms; each operand reference in a
+        # row that save writes is the operand's position in the kept
+        # order, and the root is the last row
+        e = decomposition_residual(Algebra(3))
+        order = ex._schedules[e]
+        at = {node: k for k, node in enumerate(order)}
+        chunks = []
+        ex.save(e, chunks.append)
+        rows = json.loads("".join(chunks))["rows"]
+        assert len(rows) == len(order) and order[-1] is e
+        refs = []
+        for node, row in zip(order, rows):
+            assert row[0] == node.op
+            if node.op == ex.OP_POW:
+                refs.append(row[1])
+                assert row[1:] == [at[node.args[0]], node.args[1]]
+            elif node.op in (ex.OP_ADD, ex.OP_MUL):
+                refs.extend(row[1:])
+                assert row[1:] == [at[c] for c in node.args]
+        assert len(set(refs)) < len(refs)  # some operand has more than one user
 
 
 class TestTermTableGate:
