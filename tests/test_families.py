@@ -105,7 +105,7 @@ def _point_sha(point):
 _PINNED_SPECS = {spec.label: spec for spec in [
     FamilySpec.An(4), FamilySpec.Dn(4), FamilySpec.TwoDim(Fraction(1, 3)),
     FamilySpec.E6(), FamilySpec.E7(), FamilySpec.E8(),
-    FamilySpec.ApqOrbifold(2, 1), FamilySpec.DrOrbifold(2),
+    FamilySpec.ApqOrbifold(1, 1), FamilySpec.ApqOrbifold(2, 1), FamilySpec.DrOrbifold(2),
 ]}
 
 # sha256 of (us, hs, gammas, jets), recorded before the samplers were
@@ -136,6 +136,12 @@ PINNED_SAMPLES = {
         "27240e0c08c416d891e7aba5c7441907c72597e743393646d7dad61e235e09c2",
     ("E8", 20120427):
         "54f856e8278204ca01193f7e02b6d23fe5a1eab7de0ae2f5f1bd1f547643004d",
+    # draws with an exactly real root, whose digest reads the root
+    # finder's last bits
+    ("Apq(1,1)", 17):
+        "66449551e2b37f7691d96f9e170d10c1b90e21820219f5e50e2ff10f1fa1c23b",
+    ("Apq(1,1)", 24):
+        "590945a1dc005c5e4f456b8d3c57cbeea035e955097db743f59cde42569ee95f",
     ("Apq(2,1)", 3):
         "005d2e013430137cdb9c399c31d9ec7bf7b33a71ede20df7c8edb32be83b1288",
     ("Apq(2,1)", 20120427):
