@@ -341,6 +341,10 @@ class EvalContext:
     numbers.  ``kernel.passes(value)`` says whether a value counts as
     zero: exactly, with ``expr.EXACT`` (the default), or relative to the
     largest addend this context evaluated, with its own numeric kernel.
+    ``cache`` holds kernel values at this point for ``expr.evaluate``:
+    every node of a walked expression, shared with the next expression
+    evaluated here, and only the root of a kept one, whose other values
+    are dropped at their last use.
     """
 
     def __init__(self, n, us, hs, gammas, jets, kernel=ex.EXACT):

@@ -47,7 +47,6 @@ def h_function(alg, i):
 class CorrelatorTable:
     def __init__(self, alg: Algebra):
         self.alg = alg
-        self.n = alg.n
         self._u = {}
         self._c = {}
         self._d = {}

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from math import frexp, gcd, isfinite, isinf
 from operator import attrgetter
 from weakref import WeakValueDictionary
@@ -331,7 +332,8 @@ def _postorder(e):
     return order
 
 
-# root -> its postorder, for the DAGs kept for the life of the process
+# root -> (its order, its release plan), for the DAGs kept for the life
+# of the process
 _schedules = {}
 # a DAG was kept since the heap was last collected before forking
 # (``algebra.forked_map`` reads and clears it)
@@ -341,21 +343,53 @@ collect_before_fork = False
 def keep_schedule(e, nodes=None):
     """Evaluate e in increasing ``sid`` order from now on: the order the
     nodes were created in, in which every node comes after its operands
-    and the root comes last.  For a DAG that lives as long as the
-    process: the order is kept as long, and the next fork collects the
-    heap first.  The nodes are found by a walk of e, or given as the
-    list ``nodes`` (``load`` gives its rows), which is then sorted in
-    place."""
+    and the root comes last.  With the order goes its release plan: at
+    each position, the operands whose last use in the order is there,
+    which ``evaluate`` drops from its cache once that position is done.
+    For a DAG that lives as long as the process: the order and plan are
+    kept as long, and the next fork collects the heap first.  The nodes
+    are found by a walk of e, or given as the list ``nodes`` (``load``
+    gives its rows), which is then sorted in place."""
     global collect_before_fork
     order = _postorder(e) if nodes is None else nodes
     order.sort(key=_sid)
-    _schedules[e] = order
+    _schedules[e] = (order, _release_plan(order))
     collect_before_fork = True
 
 
+def _release_plan(order):
+    """For each position of ``order``, the tuple of operands used there
+    and at no later position: one pass from the root down, in which an
+    operand's first sighting is its last use."""
+    seen = set()
+    covered = seen.issuperset
+    plan = []
+    for node in reversed(order):
+        op = node.op
+        if op == OP_ADD or op == OP_MUL:
+            args = node.args
+        elif op == OP_POW:
+            args = node.args[:1]
+        else:
+            args = ()
+        if covered(args):  # most positions: nothing is used last there
+            plan.append(())
+            continue
+        dead = []
+        for c in args:
+            if c not in seen:
+                seen.add(c)
+                dead.append(c)
+        plan.append(tuple(dead))
+    plan.reverse()
+    return plan
+
+
 def _schedule(e):
-    order = _schedules.get(e)
-    return _postorder(e) if order is None else order
+    """e's evaluation order and release plan: the kept ones, or a walk
+    of e that releases nothing."""
+    kept = _schedules.get(e)
+    return (_postorder(e), repeat(())) if kept is None else kept
 
 
 def node_count(e):
@@ -757,26 +791,36 @@ EXACT = ExactKernel()
 def evaluate(e, gen_value, cache=None, kernel=EXACT):
     """The value of e at a point, whatever the kernel.  ``gen_value``
     maps (kind, i, p) to a scalar, ``cache`` is a per-point memo of
-    kernel values shared across expressions; ``memo`` is the kernel's,
-    for this call only.  A DAG given to ``keep_schedule`` is evaluated in
-    its kept order, any other is walked afresh; a node already in
-    ``cache`` is skipped either way."""
+    kernel values; ``memo`` is the kernel's, for this call only.  A node
+    already in ``cache`` is not computed again, and a root already there
+    is returned at once.
+
+    A DAG given to ``keep_schedule`` is evaluated in its kept order, and
+    each value is dropped from ``cache`` at its last use in that order,
+    so the call leaves only the root of all the DAG's nodes in the
+    cache, and holds a tenth or so of them at any one time.  Any other
+    DAG is walked afresh and leaves every node's value in the cache,
+    for the next expression evaluated at the same point to share."""
     if cache is None:
         cache = {}
+    elif e in cache:
+        return kernel.scalar(cache[e])
     const, gen, power, fold = kernel.const, kernel.gen, kernel.power, kernel.fold
     memo = {}
-    for node in _schedule(e):
-        if node in cache:
-            continue
-        op = node.op
-        if op == OP_CONST:
-            cache[node] = const(node.args[0])
-        elif op == OP_GEN:
-            cache[node] = gen(gen_value(node.args))
-        elif op == OP_POW:
-            cache[node] = power(node, cache)
-        else:
-            cache[node] = fold(node, cache, memo)
+    order, plan = _schedule(e)
+    for node, dead in zip(order, plan):
+        if node not in cache:
+            op = node.op
+            if op == OP_CONST:
+                cache[node] = const(node.args[0])
+            elif op == OP_GEN:
+                cache[node] = gen(gen_value(node.args))
+            elif op == OP_POW:
+                cache[node] = power(node, cache)
+            else:
+                cache[node] = fold(node, cache, memo)
+        for c in dead:
+            del cache[c]
     return kernel.scalar(cache[e])
 
 
@@ -893,7 +937,7 @@ def save(e, write):
     order puts every operand before its user, so each node is numbered
     as its row is written, in a ``{node: row text}`` map that lives only
     for the call."""
-    order = _schedules[e]
+    order = _schedules[e][0]
     write('{"root": %d, "nodes": %d, "rows": [\n' % (e.shash, len(order)))
     rows = {}
     sep = ""
@@ -924,13 +968,15 @@ def load(text):
     rows, taken to be the nodes the root reaches as ``save`` writes
     them, in place of a walk.  They come after their operands, and the
     nodes new to this process get increasing sids in row order, so
-    sorting them by ``sid`` is close to linear."""
+    sorting them by ``sid`` is close to linear.  Each parsed row is
+    dropped once its node exists, so the parsed rows and the nodes made
+    from them do not all live at once."""
     data = json.loads(text)
     rows = data["rows"]
     if type(rows) is not list or not rows or len(rows) != data["nodes"]:
         raise ValueError("node count does not match")
     nodes = []
-    for row in rows:
+    for at, row in enumerate(rows):
         op = row[0]
         if op == OP_CONST:
             _, num, den = row
@@ -955,6 +1001,7 @@ def load(text):
         else:
             raise ValueError("bad operator in row %r" % (row,))
         nodes.append(node)
+        rows[at] = None  # the parsed row is freed as soon as its node exists
     root = nodes[-1]
     if root.shash != data["root"]:
         raise ValueError("root hash does not match")

@@ -85,7 +85,7 @@ class TestConstruction:
         for e in (small, deep):
             ex.keep_schedule(e)
             kept = ex._schedules[e]
-            sids = [node.sid for node in kept]
+            sids = [node.sid for node in kept[0]]
             assert sids == sorted(sids) and sids[-1] == e.sid
             chunks = []
             ex.save(e, chunks.append)

@@ -5,6 +5,7 @@ numeric kernel's fused complex operations round as libmp's do, and
 exact evaluation on integer numerator/denominator pairs gives the plain
 fold's values, types and radical coefficient order."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -247,6 +248,129 @@ class TestExactEvaluation:
             ctx.evaluate(ex.pow_(ex.u(1), -1))
         with pytest.raises(ZeroDivisionError):
             _reference_evaluate(ex.pow_(ex.u(1), -1), ctx.gen_value, {})
+
+
+# a cache that records the most values it held at once, passed to one
+# kept evaluation at a family point in a process of its own; prints the
+# peak, the node count and the values left
+_PEAK_CACHE = """
+import json
+import mpmath
+from frobg2 import expr as ex
+from frobg2.algebra import Algebra
+from frobg2.families import FamilySpec, sample
+from frobg2.genus2 import %s as build
+
+class PeakCache(dict):
+    peak = 0
+
+    def __setitem__(self, node, value):
+        dict.__setitem__(self, node, value)
+        if len(self) > self.peak:
+            self.peak = len(self)
+
+spec = FamilySpec.%s()
+e = build(Algebra(spec.n))
+ctx = sample(spec, seed=1).context()
+cache = PeakCache()
+with mpmath.workprec(256 + 64):
+    ex.evaluate(e, ctx.gen_value, cache, ctx.kernel)
+print(json.dumps([cache.peak, ex.node_count(e), len(cache)]))
+"""
+
+
+def _walked(e, ctx, monkeypatch):
+    """ctx.evaluate(e) with e's kept order and release plan hidden, so
+    that e is walked afresh and keeps every value."""
+    with monkeypatch.context() as m:
+        m.setattr(ex, "_schedules", {})
+        return ctx.evaluate(e)
+
+
+class TestRelease:
+    """A kept DAG's values are dropped from the cache at their last use
+    in the kept order, and the values do not move."""
+
+    @pytest.mark.parametrize("spec,build", [
+        (FamilySpec.E6(), relation_expression), (FamilySpec.E7(), g2_function),
+    ], ids=["E6 relation", "E7 G2"])
+    def test_numeric_kept_equals_walk(self, spec, build, monkeypatch):
+        e = build(Algebra(spec.n))
+        point = sample(spec, seed=1)
+        with mpmath.workprec(256 + 64):
+            kept, walk = point.context(), point.context()
+            got = kept.evaluate(e)
+            want = _walked(e, walk, monkeypatch)
+        assert got._mpc_ == want._mpc_
+        assert kept.kernel.max_mag == walk.kernel.max_mag
+        assert list(kept.cache) == [e]
+        assert len(walk.cache) == ex.node_count(e)
+
+    @pytest.mark.parametrize("family,build", [("E6", "relation_expression"),
+                                              ("E7", "g2_function")],
+                             ids=["E6 relation", "E7 G2"])
+    def test_live_values_peak(self, python_process, family, build):
+        # the live-value bound of the kept order, in a process that builds
+        # the DAG first, as a CLI call does: there the kept order is the
+        # order the build made the nodes in (a process that made some of
+        # them earlier, for another DAG, keeps them earlier, and holds
+        # them longer)
+        res = python_process(["-c", _PEAK_CACHE % (build, family)])
+        assert res.returncode == 0, res.stderr.decode()
+        peak, nodes, left = json.loads(res.stdout)
+        assert left == 1  # the root
+        assert nodes > 8000 and peak <= 0.15 * nodes
+
+    @pytest.mark.parametrize("case", ["residual n=3", "An(4) G2"])
+    def test_exact_kept_equals_walk(self, case, monkeypatch):
+        if case == "residual n=3":
+            e = decomposition_residual(Algebra(3))
+            point = random_context(3, random.Random(3))
+            contexts = [EvalContext(3, point.us, point.hs, point.gammas, point.jets)
+                        for _ in range(2)]
+        else:
+            e = g2_function(Algebra(4))
+            point = sample(FamilySpec.An(4), seed=1)
+            contexts = [point.context() for _ in range(2)]
+        kept, walk = contexts
+        _assert_same(kept.evaluate(e), _walked(e, walk, monkeypatch))
+        assert list(kept.cache) == [e]
+
+    def test_repeat_is_a_lookup(self):
+        e = g2_function(Algebra(3))
+        ctx = random_context(3, random.Random(4))
+        value = ctx.evaluate(e)
+        assert list(ctx.cache) == [e]
+
+        def no_generators(args):
+            raise AssertionError("a generator was read again")
+
+        _assert_same(ex.evaluate(e, no_generators, ctx.cache), value)
+        assert list(ctx.cache) == [e]
+
+    def test_kept_after_held_values(self):
+        # kept DAGs evaluated in turn on one point, after a walked
+        # contraction that shares their nodes, give what each gives on a
+        # fresh point; the residual's DAG holds g2_function's root
+        alg = Algebra(3)
+        g2, rel, res = g2_function(alg), relation_expression(alg), decomposition_residual(alg)
+        walked = graph_function(builtin("Q3"), CorrelatorTable(alg))
+        assert walked not in ex._schedules
+        point = random_context(3, random.Random(5))
+
+        def fresh():
+            return EvalContext(3, point.us, point.hs, point.gammas, point.jets)
+
+        ctx = fresh()
+        ctx.evaluate(walked)
+        assert len(ctx.cache) == ex.node_count(walked)
+        for e in (g2, rel, res):
+            _assert_same(ctx.evaluate(e), fresh().evaluate(e))
+        # g2_function's root was an operand in the residual's DAG, and
+        # went at its last use there
+        assert g2 in ex._schedules[res][0] and g2 not in ctx.cache
+        assert {rel, res} <= set(ctx.cache)
+        _assert_same(ctx.evaluate(g2), fresh().evaluate(g2))
 
 
 def _random_part(rng):

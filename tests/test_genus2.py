@@ -300,7 +300,7 @@ class TestStoredRows:
         # row that save writes is the operand's position in the kept
         # order, and the root is the last row
         e = decomposition_residual(Algebra(3))
-        order = ex._schedules[e]
+        order, _ = ex._schedules[e]
         at = {node: k for k, node in enumerate(order)}
         chunks = []
         ex.save(e, chunks.append)

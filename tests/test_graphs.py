@@ -284,7 +284,7 @@ def leg_loop(g, table):
     """graph_function as a plain leg loop: each vertex is summed over all
     sorted leg index tuples, weighted by their number of orderings.  It
     needs correlators of the full vertex valence, up to six indices."""
-    n = table.n
+    n = table.alg.n
     incident = [[] for _ in range(g.n_vertices)]
     for eid, (a, b) in enumerate(g.edges):
         incident[a].append(eid)

@@ -17,7 +17,7 @@ import pytest
 from frobg2 import algebra, correlators, genus2, graphs
 
 # per module, the builders: a function, a ``Class.method``, a class (all
-# its methods but ``__init__``) or a module-level table of builders
+# its methods, ``__init__`` too) or a module-level table of builders
 BUILDERS = {
     algebra: ["Algebra._dh_du", "Algebra._dgamma_du", "Algebra.partial_u",
               "Algebra.partial_jet", "Algebra.total_x", "Algebra.christoffel"],
@@ -48,8 +48,7 @@ def _definitions(module):
 def _bodies(module, name):
     node = _definitions(module)[name]
     if isinstance(node, ast.ClassDef):
-        return [item for item in node.body
-                if isinstance(item, ast.FunctionDef) and item.name != "__init__"]
+        return [item for item in node.body if isinstance(item, ast.FunctionDef)]
     return [node]
 
 
