@@ -3,7 +3,8 @@ are bit-identical to the plain fold that takes ``float(abs())`` of every
 addend and lets mpmath convert a rational operand on every use, the
 numeric kernel's fused complex operations round as libmp's do, and
 exact evaluation on integer numerator/denominator pairs gives the plain
-fold's values, types and radical coefficient order."""
+fold's values, types and radical coefficient order, and a kept DAG's
+values are released at their last use without moving any of them."""
 
 import json
 import random
@@ -361,6 +362,7 @@ class TestRelease:
         def fresh():
             return EvalContext(3, point.us, point.hs, point.gammas, point.jets)
 
+        assert set(ex._postorder(walked)) & set(ex._schedules[res][0]) - {walked}
         ctx = fresh()
         ctx.evaluate(walked)
         assert len(ctx.cache) == ex.node_count(walked)
