@@ -16,6 +16,13 @@ code.  The output file is opened only once the verb has its output.
 
 Reports are deterministic: the same command with the same seed writes
 byte-identical output.
+
+A CLI process (``python -m frobg2.cli``, or the installed ``frobg2``
+script) starts at ``run``, which ends it with ``os._exit`` once its
+output is flushed, so the interpreter's teardown (tens of ms after a
+warm call) is skipped.  The exit codes are those above.  ``main`` and
+library calls are unchanged: ``CliRunner`` and a traced child call
+``main`` and tear down as usual.
 """
 
 from __future__ import annotations
@@ -302,5 +309,48 @@ def cmd_dump_expr(what, name, n):
     return write_dump
 
 
+def run():
+    """The process entry point: run ``main`` and end the process with
+    ``os._exit`` once its output is flushed, skipping the interpreter's
+    teardown (full collections over the heap, module teardown and one
+    weakref callback per interned DAG node; tens of ms a warm call).
+
+    The exit status is taken from ``SystemExit`` as CPython takes it:
+    ``None`` is 0, an int is itself, and anything else is printed to
+    stderr and gives 1.  If the final flush of stdout or stderr fails,
+    the status is 120, as at CPython's own exit.  Any other exception
+    propagates, and the interpreter ends as usual.
+
+    Nothing is lost by skipping the teardown.  By the time ``main``
+    raises ``SystemExit``, the report has been written and flushed
+    (``click.echo`` flushes every write), an ``--output`` file has been
+    closed by ``_writer``'s ``with``, a store file has been moved into
+    place by ``os.replace``, and every forked worker has been reaped
+    (``algebra.forked_map``'s ``finally``).  Every writer in the
+    package is a ``with open(...)``, and neither frobg2, click nor
+    mpmath registers an ``atexit`` handler or a finalizer that matters.
+
+    Only a process's entry point may call ``run``: it never returns,
+    and ``atexit`` handlers registered before it do not run.  Callers
+    that must tear down (``CliRunner``, a traced child) call ``main``."""
+    status = None
+    try:
+        main()
+    except SystemExit as exc:
+        status = exc.code
+    if status is None:
+        status = 0
+    elif not isinstance(status, int):
+        print(status, file=sys.stderr)
+        status = 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except Exception:
+            status = 120
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    run()

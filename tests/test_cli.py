@@ -430,3 +430,115 @@ class TestStoredBuilds:
         ])
         res = python_process(["-c", script])
         assert res.returncode == 0, res.stderr.decode()
+
+
+def _script(*lines):
+    """A ``python -c`` program of ``lines``."""
+    return ["-c", "\n".join(lines)]
+
+
+def _calling(args, *lines):
+    """A ``python -c`` program that sets ``sys.argv`` to the verb
+    ``args`` and runs ``lines``."""
+    return _script("import sys", "sys.argv[1:] = %r" % args.split(), *lines)
+
+
+class TestProcessExit:
+    """A CLI process ends through ``cli.run``: ``os._exit`` once its
+    output is flushed, with the exit code and the bytes of a normal
+    exit.  ``main`` still returns through ``SystemExit`` and tears the
+    interpreter down."""
+
+    # one GOLDEN command for each of the exit codes 0, 1 and 2
+    @pytest.mark.parametrize("args,code,digest", [
+        g for g in GOLDEN if g[0] in ("verify-decomposition --n 2 --trials 2",
+                                      "verify-g2 --family 2d --mu1 1/4 --points 1",
+                                      "verify-residues --family dr --r 1")])
+    def test_golden_code_and_bytes(self, python_process, args, code, digest):
+        res = python_process(["-m", "frobg2.cli"] + args.split())
+        assert res.returncode == code
+        assert _digest(res.stdout) == digest
+
+    @pytest.mark.parametrize("error,code,message", [
+        ("NonConvergenceError('no root')", 3, "non-convergent: no root"),
+        ("RuntimeError('sampled linear system is singular or inconsistent')", 4,
+         "singular or inconsistent"),
+    ])
+    def test_error_codes(self, python_process, error, code, message):
+        res = python_process(_calling(
+            "solve-coefficients --n 2", "import frobg2.cli as cli",
+            "from frobg2.exact import NonConvergenceError",
+            "def broken(n, samples, seed):",
+            "    raise " + error,
+            "cli.solve_coefficients = broken", "cli.run()"))
+        assert res.returncode == code
+        assert res.stdout == b""
+        assert message in res.stderr.decode()
+
+    @pytest.mark.parametrize("body", [
+        ["raise SystemExit(None)"],
+        ["raise SystemExit(3)"],
+        ["raise SystemExit('a message')"],
+        # output still in stdout's buffer cannot be flushed at the end:
+        # 120, CPython's own status for a failed flush at exit
+        ["sys.stdout = open('/dev/full', 'w')", "sys.stdout.write('x')",
+         "raise SystemExit(0)"],
+    ])
+    def test_status_as_cpython_takes_it(self, python_process, body):
+        # the same body, as main under run and in a plain interpreter,
+        # gives the same code; a SystemExit's message goes to stderr
+        ours = python_process(_script("import sys", "import frobg2.cli as cli",
+                                      "def main():", *["    " + b for b in body],
+                                      "cli.main = main", "cli.run()"))
+        plain = python_process(_script("import sys", *body))
+        assert ours.returncode == plain.returncode
+        if "/dev/full" in body[0]:
+            assert ours.returncode == 120
+        else:
+            assert ours.stderr == plain.stderr
+
+    def test_output_file_is_complete(self, python_process, tmp_path):
+        path = tmp_path / "g2.sexp"
+        res = python_process(["-m", "frobg2.cli"] + G2_DUMP.split()
+                             + ["--output", str(path)])
+        assert res.returncode == 0
+        assert res.stdout == b""
+        assert _digest(path.read_bytes()) == G2_DUMP_DIGEST
+
+    @pytest.mark.parametrize("call,teardown", [
+        ("runpy.run_module('frobg2.cli', run_name='__main__')", False),
+        ("import frobg2.cli; frobg2.cli.main.main(args=sys.argv[1:], prog_name='frobg2')",
+         True),
+    ], ids=["python -m frobg2.cli", "main"])
+    def test_atexit_only_after_main(self, python_process, call, teardown):
+        # a CLI process skips the interpreter's teardown; a caller of
+        # main (a traced benchmark child, say) keeps it
+        res = python_process(_calling(
+            G2_DUMP, "import atexit, os, runpy",
+            "atexit.register(os.write, 2, b'atexit ran\\n')", call))
+        assert res.returncode == 0
+        assert _digest(res.stdout) == G2_DUMP_DIGEST
+        assert (b"atexit ran" in res.stderr) == teardown
+
+    def test_full_stdout(self, python_process):
+        # the report's write fails inside the verb: exit 4, as before
+        # run, with the traceback on stderr
+        res = python_process(_calling(
+            G2_DUMP, "import os, runpy", "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)",
+            "runpy.run_module('frobg2.cli', run_name='__main__')"))
+        assert res.returncode == 4
+        assert b"Traceback" in res.stderr
+        assert b"No space left on device" in res.stderr
+
+
+def test_installed_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    import importlib
+
+    import frobg2.cli
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["frobg2"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is frobg2.cli.run
