@@ -23,10 +23,9 @@ local power-series expansion, never by numerical contour integration.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import islice
-
-import mpmath
 
 from .report import DEFAULT_PRECISION
 
@@ -222,7 +221,8 @@ def residue(num, den, location):
     """
     if den.is_zero():
         raise ZeroDivisionError("residue of a quotient by the zero polynomial")
-    if isinstance(location, (mpmath.mpf, mpmath.mpc)):
+    mpmath = sys.modules.get("mpmath")  # without it no mpmath number exists
+    if mpmath is not None and isinstance(location, (mpmath.mpf, mpmath.mpc)):
         raise TypeError("residue at an inexact location %r" % (location,))
     zero = location * 0
     shifted = _shifted(den.coeffs, location)
@@ -317,6 +317,8 @@ def row_reduce(rows):
 
 
 def _to_mpc(c):
+    import mpmath
+
     if isinstance(c, Fraction):
         return mpmath.mpf(c.numerator) / c.denominator
     to = getattr(c, "to_mpc", None)
@@ -333,6 +335,8 @@ def poly_roots(p, precision=DEFAULT_PRECISION):
     residual drops below 2**(-precision/2).  Falls back to
     ``mpmath.polyroots``, a Durand-Kerner iteration, before giving up.
     """
+    import mpmath
+
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     with mpmath.workprec(2 * precision):

@@ -6,7 +6,9 @@ Hessian values supply the Lame coefficients h_i, and the printed
 rotation-coefficient formulas supply gamma_ij.  The polynomial families
 (``An``, ``Dn``) and the two-dimensional family are sampled exactly, in
 a square-root extension of the rationals; the exceptional and orbifold
-families go through high-precision complex root finding.
+families go through high-precision complex root finding.  mpmath is
+imported only inside the functions that make or read an mpmath number,
+so an exact family's suite never loads it (see ``frobg2.numeric``).
 
 Each sampler, like each residue check, is one draw that returns None
 when the draw is degenerate.  One bounded loop, ``algebra.draw_stream``,
@@ -30,12 +32,11 @@ no other code branches on the kind.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional
-
-import mpmath
 
 # MAX_RESAMPLE and DegenerateSample stay importable from here for callers
 from .algebra import (
@@ -58,13 +59,14 @@ from .exact import (
     residue,
     residue_at_infinity,
 )
-from .expr import EXACT, NumericKernel, _residual_ok
+from .expr import EXACT
 from .genus2 import g2_function, o_difference_graphs, relation_expression
 from .radicals import RadicalElem, RadicalField, is_square_fraction, radical_tower
 from .report import (
     DEFAULT_PRECISION,
     DEFAULT_SEED,
     VerificationReport,
+    _residual_ok,
     point_digest,
 )
 
@@ -172,6 +174,8 @@ def _rand_mpc(rng, bound=8):
 
 
 def _to_mpc(pair):
+    import mpmath
+
     return mpmath.mpc(*map(_scalar_to_mpc, pair))
 
 
@@ -196,6 +200,8 @@ def _roots(poly, precision, away):
     root finder does not converge, two roots lie closer than 1e-3 of
     the largest distance between roots, or ``away(y)`` is that small at
     a root y."""
+    import mpmath
+
     try:
         ys = poly_roots(poly, precision)
     except NonConvergenceError:
@@ -331,6 +337,8 @@ def _e68_polys(ts, one):
 
 
 def _sample_e68(spec, rng, precision):
+    import mpmath
+
     draws = [_rand_mpc(rng) for _ in range(spec.n)]
     if draws[0] == (0, 0):
         return None
@@ -354,6 +362,8 @@ def _sample_e68(spec, rng, precision):
 
 
 def _sample_e7(spec, rng, precision):
+    import mpmath
+
     draws = [_rand_mpc(rng) for _ in range(7)]
     if draws[0] == (0, 0):
         return None
@@ -388,6 +398,8 @@ def _sample_e7(spec, rng, precision):
 
 def _apq_numerator(pdeg, qdeg, a, b, tn, tn1):
     """lambda(z) = N(z)/z^q for the A-orbifold superpotential."""
+    import mpmath
+
     one = mpmath.mpf(1)
     p1 = [mpmath.mpf(0)] * (pdeg + 1)
     p1[pdeg] = one
@@ -403,6 +415,8 @@ def _apq_numerator(pdeg, qdeg, a, b, tn, tn1):
 
 
 def _sample_apq(spec, rng, precision):
+    import mpmath
+
     pdeg, qdeg = spec.p, spec.q
     a = {k: _to_mpc(_rand_mpc(rng)) for k in range(1, pdeg)}
     b = {k: _to_mpc(_rand_mpc(rng)) for k in range(1, qdeg)}
@@ -435,10 +449,14 @@ def _sample_apq(spec, rng, precision):
 
 
 def _fracpair(v):
+    import mpmath
+
     return (mpmath.nstr(v.real, 12), mpmath.nstr(v.imag, 12))
 
 
 def _sample_dr(spec, rng, precision):
+    import mpmath
+
     r = spec.r
     cdraw = [_rand_mpc(rng) for _ in range(r + 1)]
     if cdraw[-1] == (0, 0):
@@ -470,6 +488,18 @@ def _sample_dr(spec, rng, precision):
     }
 
 
+def _working_precision(spec, precision):
+    """The block a family's points are drawn and its trials run in:
+    ``mpmath.workprec(precision + 64)`` for a numeric family, so that no
+    residual depends on the ambient precision; a null context for an
+    exact family, which makes no mpmath number and so loads no mpmath."""
+    if spec.exact:
+        return nullcontext()
+    import mpmath
+
+    return mpmath.workprec(precision + 64)
+
+
 def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
     """Draw a SamplePoint of the family; pure in (spec, seed, precision).
     A draw whose u_i are not distinct is degenerate like any other."""
@@ -482,12 +512,18 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
             return data
         return None
 
-    with mpmath.workprec(precision + 64):
+    with _working_precision(spec, precision):
         (data,) = draw_stream(draw, lambda data: data, 1, spec.label)
+    if spec.exact:
+        kernel = EXACT
+    else:
+        from .numeric import NumericKernel
+
+        kernel = NumericKernel(precision)
     return SamplePoint(
         n=spec.n, us=data.pop("us"), hs=data.pop("hs"), gammas=data.pop("gammas"),
         jets=random_jets(rng, spec.n, 50),
-        kernel=EXACT if spec.exact else NumericKernel(precision),
+        kernel=kernel,
         draw=data.pop("draw"),
         internal=data,  # what is left: the family's own parameters
     )
@@ -512,6 +548,8 @@ def closed_form_o_difference(spec):
 
 
 def _apq_parameter_basis(spec, point):
+    import mpmath
+
     zs = point.internal["zs"]
     pdeg, qdeg = spec.p, spec.q
     b = point.internal["b"]
@@ -547,6 +585,8 @@ def _dr_parameter_basis(spec, point):
 
 def _log_tn_gradient(spec, point):
     """d(log t_n)/du_i for all i, through the parameter Jacobian."""
+    import mpmath
+
     cols, tn = FAMILIES[spec.kind].parameter_basis(spec, point)
     n = point.n
     jac = mpmath.matrix(n, n)
@@ -592,6 +632,8 @@ def _res_str(val):
         return str(val)
     if isinstance(val, RadicalElem):
         return repr(val)
+    import mpmath
+
     return mpmath.nstr(abs(mpmath.mpc(val)), 8)
 
 
@@ -793,7 +835,8 @@ def _family_suite(command, spec, points, seed, precision, trials, **params):
     """The report of ``trials(point)`` on ``points`` family points drawn
     at seeds seed, seed + 1, ...; ``trials`` returns one (residual, ok)
     pair per trial.  Sampling, the trials and their residual strings
-    all run at precision + 64 bits, whatever the ambient precision.
+    all run at precision + 64 bits on a numeric family, whatever the
+    ambient precision (``_working_precision``).
     Each point depends only on its seed, so the points are shared out
     among forked workers (``algebra.forked_map``); their trials are reported
     in point order, and the report is the same for any worker count."""
@@ -807,7 +850,7 @@ def _family_suite(command, spec, points, seed, precision, trials, **params):
         digest = point.digest()
         return [(digest, res, ok) for res, ok in trials(point)]
 
-    with mpmath.workprec(precision + 64):
+    with _working_precision(spec, precision):
         for point_rows in forked_map(rows, range(points)):
             for row in point_rows:
                 report.add_trial(*row)

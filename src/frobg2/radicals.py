@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
-
 
 def is_square_fraction(q):
     """True when the rational q is the square of a rational."""
@@ -121,6 +119,8 @@ class RadicalField:
         key = (k, prec)
         v = self._numeric_cache.get(key)
         if v is None:
+            import mpmath
+
             r = self.radicands[k]
             with mpmath.workprec(prec):
                 v = mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator)
@@ -266,6 +266,8 @@ class RadicalElem:
         return out
 
     def to_mpc(self, prec=None):
+        import mpmath
+
         if prec is None:
             prec = mpmath.mp.prec
         with mpmath.workprec(prec):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 
 DEFAULT_SEED = 20120427
 DEFAULT_PRECISION = 256
@@ -21,6 +22,16 @@ DEFAULT_PRECISION = 256
 def relative_tolerance(precision):
     """Half the working precision, relative to the largest addend."""
     return 2.0 ** (-(precision // 2))
+
+
+def _residual_ok(val, precision, scale=1):
+    """|val| <= tol * max(1, |scale|).  A residual or scale that is not a
+    finite float (inf, nan, or beyond the float range) fails."""
+    res = float(abs(val))
+    base = float(abs(scale))
+    if not (isfinite(res) and isfinite(base)):
+        return False
+    return res <= relative_tolerance(precision) * max(1.0, base)
 
 
 def point_digest(values):

@@ -16,6 +16,7 @@ import pytest
 import sympy
 
 from frobg2 import expr as ex
+from frobg2 import numeric
 from frobg2.algebra import Algebra, EvalContext, random_context
 from frobg2.expr import add, div, dump, gamma, h, jet, mul, parse, pow_, sub, u
 
@@ -160,7 +161,7 @@ class TestRules:
 
     def test_numeric_stats_overflow_reads_inf(self):
         ctx = EvalContext(1, [mpmath.mpf(1)], [mpmath.mpf(1)], {}, {},
-                          ex.NumericKernel(256))
+                          numeric.NumericKernel(256))
         ctx.evaluate(add(ex.const(10**400), u(1)))
         assert ctx.kernel.max_mag == float("inf")
         assert not ctx.kernel.passes(mpmath.mpf(0))
@@ -208,7 +209,7 @@ class TestParametrizedOracle:
                 [mpmath.mpc(num["h1"]), mpmath.mpc(num["h2"])],
                 {(1, 2): mpmath.mpc(num["g12"])},
                 {(i, p): mpmath.mpf(1) for i in (1, 2) for p in (1, 2)},
-                ex.NumericKernel(256),
+                numeric.NumericKernel(256),
             )
             checks = [
                 (h(1), h1), (h(2), h2), (gamma(1, 2), g12),

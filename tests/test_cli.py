@@ -531,6 +531,56 @@ class TestProcessExit:
         assert b"No space left on device" in res.stderr
 
 
+# small verbs that decide their identities exactly, each with exit code 0
+EXACT_VERBS = [
+    "verify-decomposition --n 2 --trials 2",
+    "verify-g2 --family an --n 3 --points 1",
+    "verify-g2 --family dn --n 4 --points 1",
+    "verify-g2 --family 2d --mu1 1/2 --points 1",
+    "verify-residues --family e8 --draws 2",
+    "enumerate-graphs",
+]
+# exit code and stdout sha256 of a numeric verb at the default seed
+E6_RELATION = ("verify-relation --family e6 --points 1", 0,
+               "2c74aa931cebb1ce146943f987b7413890f5486841b6b42e0846cd8a5b781701")
+
+
+def _modules_after(*verbs):
+    """A ``python -c`` program that imports ``frobg2.cli``, runs each verb
+    through ``main`` and writes, as its last line of stderr, the verbs'
+    exit codes and which of mpmath and mpmath.libmp are then loaded."""
+    return _script(
+        "import json, sys",
+        "import frobg2.cli as cli",
+        "codes = []",
+        "for args in %r:" % (list(verbs),),
+        "    try:",
+        "        cli.main.main(args=args.split(), prog_name='frobg2')",
+        "    except SystemExit as exc:",
+        "        codes.append(exc.code)",
+        "loaded = [m for m in ('mpmath', 'mpmath.libmp') if m in sys.modules]",
+        "sys.stderr.write(json.dumps([codes, loaded]) + '\\n')")
+
+
+class TestImportBoundary:
+    """mpmath is loaded at the first numeric value a process makes: a
+    process that runs only exact verbs never loads it."""
+
+    def test_exact_verbs_leave_mpmath_unloaded(self, python_process):
+        res = python_process(_modules_after(*EXACT_VERBS))
+        codes, loaded = json.loads(res.stderr.decode().splitlines()[-1])
+        assert codes == [0] * len(EXACT_VERBS)
+        assert loaded == []
+
+    def test_numeric_verb_loads_mpmath(self, python_process):
+        args, code, digest = E6_RELATION
+        res = python_process(_modules_after(args))
+        codes, loaded = json.loads(res.stderr.decode().splitlines()[-1])
+        assert codes == [code]
+        assert loaded == ["mpmath", "mpmath.libmp"]
+        assert _digest(res.stdout) == digest
+
+
 def test_installed_script_is_run():
     tomllib = pytest.importorskip("tomllib")
     import importlib

@@ -18,6 +18,7 @@ from mpmath.libmp import (
 )
 
 from frobg2 import expr as ex
+from frobg2 import numeric
 from frobg2.algebra import Algebra, EvalContext, ResampleNeeded, random_context
 from frobg2.correlators import CorrelatorTable
 from frobg2.families import FamilySpec, closed_form_o_difference, sample
@@ -119,7 +120,7 @@ class TestNumericEvaluation:
         ]
         for e in terms:
             with mpmath.workprec(200):
-                stats, ref = ex.NumericKernel(256), _ReferenceStats()
+                stats, ref = numeric.NumericKernel(256), _ReferenceStats()
                 got = ex.evaluate(e, values.__getitem__, {}, stats)
                 want = _reference_evaluate(e, values.__getitem__, {}, ref)
             assert type(got) is type(want)
@@ -403,7 +404,7 @@ class TestEvalStats:
         rng = random.Random(5)
         with mpmath.workprec(256):
             for _ in range(400):
-                stats, ref = ex.NumericKernel(256), _ReferenceStats()
+                stats, ref = numeric.NumericKernel(256), _ReferenceStats()
                 for _ in range(rng.randint(1, 25)):
                     v = _random_addend(rng)
                     stats.note(v)
@@ -424,7 +425,7 @@ class TestEvalStats:
                 [mpmath.mpc(2) ** 2000, mpmath.mpc(1)],
             ]
             for seq in cases:
-                stats, ref = ex.NumericKernel(256), _ReferenceStats()
+                stats, ref = numeric.NumericKernel(256), _ReferenceStats()
                 for v in seq:
                     stats.note(v)
                     ref.note(v)
@@ -502,10 +503,10 @@ def _fused_cases(prec):
 
 
 def _check_fused(z, w, prec):
-    assert ex._cadd(z, w, prec, "n") == mpc_add(z, w, prec, "n")
-    assert ex._cmul(z, w, prec, "n") == mpc_mul(z, w, prec, "n")
+    assert numeric._cadd(z, w, prec, "n") == mpc_add(z, w, prec, "n")
+    assert numeric._cmul(z, w, prec, "n") == mpc_mul(z, w, prec, "n")
     for x in w:
-        assert ex._cscale(z, x, prec, "n") == mpc_mul_mpf(z, x, prec, "n")
+        assert numeric._cscale(z, x, prec, "n") == mpc_mul_mpf(z, x, prec, "n")
 
 
 class TestFusedOperations:
@@ -539,6 +540,6 @@ class TestFusedOperations:
         z = (_part(3, -1), _part(-5, 2))
         w = (_part((1 << 300) - 1, -299), _part(7))
         for rnd in "fcdu":
-            assert ex._cmul(z, w, 53, rnd) == mpc_mul(z, w, 53, rnd)
-            assert ex._cadd(z, w, 53, rnd) == mpc_add(z, w, 53, rnd)
-            assert ex._cscale(z, w[0], 53, rnd) == mpc_mul_mpf(z, w[0], 53, rnd)
+            assert numeric._cmul(z, w, 53, rnd) == mpc_mul(z, w, 53, rnd)
+            assert numeric._cadd(z, w, 53, rnd) == mpc_add(z, w, 53, rnd)
+            assert numeric._cscale(z, w[0], 53, rnd) == mpc_mul_mpf(z, w[0], 53, rnd)

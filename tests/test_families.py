@@ -343,14 +343,18 @@ class TestRelation:
 
 
 class TestAmbientPrecision:
-    # a numeric family report is computed at precision + 64 bits: a low
+    # a numeric family report is computed at precision + 64 bits, and an
+    # exact family's report reads no mpmath precision at all: a low
     # global mpmath precision changes no residual string, and the suite
     # leaves the global precision as it found it
     @pytest.mark.parametrize("check, spec", [
         (relation_family_check, FamilySpec.ApqOrbifold(1, 2)),
         (g2_vanishing_check, FamilySpec.DrOrbifold(1)),
         (o_difference_check, FamilySpec.ApqOrbifold(1, 2)),
-    ], ids=["relation", "g2", "odiff"])
+        (relation_family_check, FamilySpec.An(3)),
+        (g2_vanishing_check, FamilySpec.Dn(4)),
+        (g2_vanishing_check, FamilySpec.TwoDim(Fraction(1, 2))),
+    ], ids=["relation", "g2", "odiff", "relation-An(3)", "g2-Dn(4)", "g2-TwoDim(1/2)"])
     def test_report_ignores_ambient_precision(self, check, spec):
         with mpmath.workprec(53):
             want = check(spec, points=1).to_json()
