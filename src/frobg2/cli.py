@@ -3,7 +3,8 @@
 Each verb runs one verification suite and streams its result as JSON
 lines: one object per trial, then a summary object.  Exit status 0
 means every trial passed, 1 means at least one failed, 2 is a usage
-error (click's default), 3 signals that a numeric computation did not
+error (click's default, or a check the family does not support,
+``families.Unsupported``), 3 signals that a numeric computation did not
 converge or that no usable point came out of ``MAX_RESAMPLE`` draws (a
 family point, a residue-suite draw or a generic exact point), and 4 is
 any other error, with its traceback on stderr.
@@ -42,6 +43,7 @@ from .expr import dump as expr_dump
 from .families import (
     FAMILIES,
     DegenerateSample,
+    Unsupported,
     closed_form_o_difference,
     g2_vanishing_check,
     gfunction_check,
@@ -69,12 +71,9 @@ EXIT_ERROR = 4
 _BY_FLAG = {family.flag: family for family in FAMILIES.values()}
 
 
-def _family_spec(flag, params, needs=None):
-    """The FamilySpec the --family options name.  ``needs`` is a
-    (record attribute, description) pair the family must provide."""
+def _family_spec(flag, params):
+    """The FamilySpec the --family options name."""
     family = _BY_FLAG[flag]
-    if needs and not getattr(family, needs[0]):
-        raise click.UsageError("the %s family has no %s" % (flag, needs[1]))
     missing = ["--" + name for name in family.params if params[name] is None]
     if missing:
         raise click.UsageError("%s required for the %s family"
@@ -147,6 +146,8 @@ def _verb(name, *options, help=None):
                     code = out(output)
             except click.ClickException:
                 raise
+            except Unsupported as exc:
+                raise click.UsageError(str(exc))
             except (NonConvergenceError, DegenerateSample) as exc:
                 click.echo("non-convergent: %s" % exc, err=True)
                 code = EXIT_NONCONVERGENT
@@ -212,14 +213,14 @@ def cmd_solve_coefficients(n, samples, seed):
     return report
 
 
-def _family_verb(name, suite, summary, needs=None):
+def _family_verb(name, suite, summary):
     """Register a verb that runs ``suite`` on --points points of a family."""
 
     @_verb(name, *family_options,
            click.option("--points", type=click.IntRange(min=1), default=3, show_default=True),
            seed_option, precision_option, help=summary)
     def command(family, points, seed, precision, **params):
-        spec = _family_spec(family, params, needs)
+        spec = _family_spec(family, params)
         return suite(spec, points=points, seed=seed, precision=precision)
 
 
@@ -228,8 +229,7 @@ _family_verb("verify-g2", g2_vanishing_check,
 _family_verb("verify-relation", relation_family_check,
              "Check the sixteen-term linear relation on a family.")
 _family_verb("verify-gfunction", gfunction_check,
-             "Check the genus-one G-function gradients on a family.",
-             needs=("gradient_closed_form", "G-function closed form"))
+             "Check the genus-one G-function gradients on a family.")
 
 
 @_verb("compute-odiff", *family_options,
@@ -251,7 +251,7 @@ def cmd_compute_odiff(family, points, seed, precision, **params):
        seed_option)
 def cmd_verify_residues(family, draws, seed, **params):
     """Run the residue-identity suite for a polynomial family."""
-    spec = _family_spec(family, params, needs=("residue_checks", "residue suite"))
+    spec = _family_spec(family, params)
     return residue_identity_suite(spec, seed=seed, draws=draws)
 
 

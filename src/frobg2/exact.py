@@ -6,12 +6,11 @@ mpmath ``mpf``/``mpc``), plus the primitives the rest of the package
 leans on:
 
 * ``poly_roots``   -- all complex roots at a requested bit precision,
+                      for rational or mpmath coefficients,
 * ``residue``      -- residue of a quotient ``num/den`` of polynomials at
                       a finite point or at infinity (pole order up to 8),
                       shifting at a finite point only the coefficients
                       it reads,
-* ``resultant``    -- resultant by the Euclidean remainder sequence,
-                      exact over exact scalars,
 * ``row_reduce``   -- Gauss-Jordan elimination, the kernel's one linear
                       solver.
 
@@ -262,28 +261,7 @@ def residue_at_infinity(num, den):
 
 
 # ---------------------------------------------------------------------------
-# resultant and linear algebra
-
-
-def resultant(p, q):
-    """Resultant by the Euclidean remainder sequence, exact over
-    Fraction or radical coefficients, with the Sylvester determinant's
-    sign: res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) res(q, r)
-    for r = p mod q, and res(p, c) = c^(deg p) for a constant c."""
-    m, n = p.degree, q.degree
-    if m < 0 or n < 0:
-        return Fraction(0)
-    scale = 1
-    while n > 0:
-        r = p.divmod(q)[1]
-        if r.is_zero():
-            return q.coeffs[0] * 0
-        if m * n % 2:
-            scale = -scale
-        scale = scale * q.coeffs[-1] ** (m - r.degree)
-        p, q = q, r
-        m, n = n, r.degree
-    return scale * q.coeffs[0] ** m
+# linear algebra
 
 
 def row_reduce(rows):
@@ -321,9 +299,6 @@ def _to_mpc(c):
 
     if isinstance(c, Fraction):
         return mpmath.mpf(c.numerator) / c.denominator
-    to = getattr(c, "to_mpc", None)
-    if to is not None:
-        return to()
     return mpmath.mpc(c)
 
 

@@ -127,10 +127,6 @@ def gamma(i, j):
     return gen(GK_GAMMA, i, j)
 
 
-def const_value(e):
-    return e.args[0]
-
-
 def _split(term):
     """term -> (rational coefficient, coefficient-free base)."""
     if term.op == OP_CONST:
@@ -568,7 +564,7 @@ def evaluate(e, gen_value, cache=None, kernel=EXACT):
 
 
 # ---------------------------------------------------------------------------
-# S-expression round-trip
+# S-expression dump
 
 
 _CHUNK = 4096  # pieces of dump text joined into one write
@@ -623,47 +619,6 @@ def _leaf_text(e):
     if kind in (GK_JET, GK_GAMMA):
         return "%s%d.%d" % (name, i, p)
     return "%s%d" % (name, i)
-
-
-def parse(text):
-    """Parse the output of dump back into an interned Expr."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = [0]
-
-    def next_tok():
-        t = tokens[pos[0]]
-        pos[0] += 1
-        return t
-
-    def parse_expr():
-        t = next_tok()
-        if t == "(":
-            op = next_tok()
-            items = []
-            while tokens[pos[0]] != ")":
-                items.append(parse_expr())
-            next_tok()
-            if op == "+":
-                return add(*items)
-            if op == "*":
-                return mul(*items)
-            if op == "^":
-                base, k = items
-                return pow_(base, const_value(k))
-            raise ValueError("bad operator %r" % op)
-        if len(t) > 1 and t[0] in "uxhg" and t[1].isdigit():
-            name, rest = t[0], t[1:]
-            kind = {v: k for k, v in _GEN_NAMES.items()}[name]
-            if "." in rest:
-                a, b = rest.split(".")
-                return gen(kind, int(a), int(b))
-            return gen(kind, int(rest))
-        return const(Fraction(t))
-
-    e = parse_expr()
-    if pos[0] != len(tokens):
-        raise ValueError("trailing tokens")
-    return e
 
 
 # ---------------------------------------------------------------------------

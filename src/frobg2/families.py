@@ -22,11 +22,15 @@ A root finder that does not converge makes a degenerate draw; any
 other error propagates.
 
 Besides the samplers the module carries the families' closed-form
-constants (the O1 - O2 values), the G-function gradient checks, and the
-residue-identity suites that re-run the printed residue computations on
-freshly drawn parameters.  Everything that differs between family kinds
-is one ``Family`` record in ``FAMILIES``, keyed by ``FamilySpec.kind``;
-no other code branches on the kind.
+O1 - O2 values, the G-function gradient checks, and the residue-identity
+suites that re-run the printed residue computations on freshly drawn
+parameters.  O1 - O2 comes from a family's orbifold weights: (p, q) for
+Apq, (2, 2, r) for Dr, none for the others.  Everything that differs
+between family kinds is one ``Family`` record in ``FAMILIES``, keyed by
+``FamilySpec.kind``; no other code branches on the kind, or decides
+which checks a family supports.  A suite the family has no closed form
+or residue computation for raises ``Unsupported`` before it builds or
+forks anything.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ from .report import (
     _residual_ok,
     point_digest,
 )
+
+
+class Unsupported(ValueError):
+    """The family has no closed form or residue suite for this check."""
+
 
 # ---------------------------------------------------------------------------
 # specs and sample points
@@ -534,8 +543,10 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
 
 
 def closed_form_o_difference(spec):
-    """The family's O1 - O2 value as an exact rational."""
-    return FAMILIES[spec.kind].o_difference(spec)
+    """The family's O1 - O2 value as an exact rational: the sum of
+    (a^3 - a)/6 over its orbifold weights a."""
+    weights = FAMILIES[spec.kind].orbifold_weights(spec)
+    return sum((Fraction(a**3 - a, 6) for a in weights), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +614,8 @@ def _gradient_trials(spec, precision):
     families, eta_ii/24 with d(log t_n)/du_i = -c eta_ii on the orbifold
     families (c is the record's ``log_scale``)."""
     family = FAMILIES[spec.kind]
-    if not family.gradient_closed_form:
-        raise ValueError("no G-function closed form for the %s family" % spec.label)
+    if not family.ade and family.parameter_basis is None:
+        raise Unsupported("no G-function closed form for the %s family" % spec.label)
     table = CorrelatorTable(Algebra(spec.n))
     exprs = [table.g_gradient(i) for i in table.alg.indices()]
 
@@ -803,7 +814,7 @@ def residue_identity_suite(spec, seed=DEFAULT_SEED, draws=5):
     each trial's name, residual string and pass flag."""
     residue_checks = FAMILIES[spec.kind].residue_checks
     if residue_checks is None:
-        raise ValueError("no residue suite for the %s family" % spec.label)
+        raise Unsupported("no residue suite for the %s family" % spec.label)
     report = VerificationReport(
         command="verify-residues", n=spec.n, family=spec.label, seed=seed,
     )
@@ -918,15 +929,10 @@ class Family:
     sampler: Callable  # (spec, rng, precision) -> one draw, None if degenerate
     exact: bool
     ade: bool = False  # the G-function gradient vanishes
-    o_difference: Callable = lambda spec: Fraction(0)  # the closed-form O1 - O2
+    orbifold_weights: Callable = lambda spec: ()  # see closed_form_o_difference
     parameter_basis: Optional[Callable] = None  # see _log_tn_gradient
     log_scale: Optional[Callable] = None  # spec -> c in d(log t_n)/du_i = -c eta_ii
     residue_checks: Optional[Callable] = None  # see residue_identity_suite
-
-    @property
-    def gradient_closed_form(self):
-        """Whether the G-function gradient has a closed form to check."""
-        return self.ade or self.parameter_basis is not None
 
 
 FAMILIES = {
@@ -942,10 +948,10 @@ FAMILIES = {
                  exact=False, ade=True, residue_checks=_e8_residue_checks),
     "Apq": Family("apq", ("p", "q"), FamilySpec.ApqOrbifold, "Apq({p},{q})",
                   _sample_apq, exact=False,
-                  o_difference=lambda s: Fraction(s.p**3 + s.q**3 - s.p - s.q, 6),
+                  orbifold_weights=lambda s: (s.p, s.q),
                   parameter_basis=_apq_parameter_basis, log_scale=lambda s: 1),
     "Dr": Family("dr", ("r",), FamilySpec.DrOrbifold, "Dr({r})", _sample_dr,
-                 exact=False, o_difference=lambda s: Fraction(s.r**3 - s.r, 6) + 2,
+                 exact=False, orbifold_weights=lambda s: (2, 2, s.r),
                  parameter_basis=_dr_parameter_basis, log_scale=lambda s: s.r),
     "TwoDim": Family("2d", ("mu1",), FamilySpec.TwoDim, "TwoDim({mu1})",
                      _sample_twodim, exact=True),

@@ -10,11 +10,11 @@ imports this module, which imports ``expr``.
 
 mpmath is loaded when a process makes its first numeric value, and this
 module when it samples its first numeric point; a process that decides
-only exact identities loads neither.  The modules of the exact path
-(``expr``, ``exact``, ``radicals``, ``families``) do not import mpmath
-at their top.  Each of their functions that makes or reads an mpmath
-number imports it in its own body (``import mpmath``, or ``from
-.numeric import NumericKernel``), and a test of mpmath types where
+only exact identities loads neither.  Of the modules of the exact path,
+``expr`` and ``radicals`` never import mpmath.  ``exact`` and
+``families`` import it only in the bodies of the functions that make or
+read an mpmath number (``import mpmath``, or ``from .numeric import
+NumericKernel``), never at their top, and a test of mpmath types where
 mpmath may be absent reads ``sys.modules`` first: no mpmath number
 exists before mpmath is loaded.
 """

@@ -8,6 +8,10 @@ shared radicands.  Inversion is by successive conjugation over the
 tower, so the type is a genuine field as long as the radicands are
 multiplicatively independent; ``radical_tower`` builds its basis that
 way.
+
+The module does not import mpmath.  An element has no numeric value:
+the exact families evaluate in the field itself, and no polynomial
+with radical coefficients goes to ``exact.poly_roots``.
 """
 
 from __future__ import annotations
@@ -72,13 +76,12 @@ def radical_tower(rads):
 class RadicalField:
     """A fixed tuple of radicands; factory for elements over them."""
 
-    __slots__ = ("radicands", "_numeric_cache", "_shared_cache")
+    __slots__ = ("radicands", "_shared_cache")
 
     def __init__(self, radicands):
         self.radicands = tuple(Fraction(r) for r in radicands)
         if any(r == 0 for r in self.radicands):
             raise ValueError("zero radicand")
-        self._numeric_cache = {}
         self._shared_cache = {}
 
     def __len__(self):
@@ -114,20 +117,6 @@ class RadicalField:
     def sqrt_gen(self, k):
         """The generator sqrt(radicands[k])."""
         return RadicalElem(self, {1 << k: Fraction(1)})
-
-    def _sqrt_numeric(self, k, prec):
-        key = (k, prec)
-        v = self._numeric_cache.get(key)
-        if v is None:
-            import mpmath
-
-            r = self.radicands[k]
-            with mpmath.workprec(prec):
-                v = mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator)
-                if r < 0:
-                    v = mpmath.mpc(0, mpmath.sqrt(-mpmath.mpf(r.numerator) / r.denominator))
-            self._numeric_cache[key] = v
-        return v
 
 
 class RadicalElem:
@@ -264,25 +253,6 @@ class RadicalElem:
             base = base * base
             k >>= 1
         return out
-
-    def to_mpc(self, prec=None):
-        import mpmath
-
-        if prec is None:
-            prec = mpmath.mp.prec
-        with mpmath.workprec(prec):
-            acc = mpmath.mpc(0)
-            for m, c in self.coeffs.items():
-                v = mpmath.mpf(c.numerator) / c.denominator
-                k = 0
-                mm = m
-                while mm:
-                    if mm & 1:
-                        v = v * self.field._sqrt_numeric(k, prec)
-                    mm >>= 1
-                    k += 1
-                acc += v
-            return acc
 
 
 def _accumulate(out, terms):

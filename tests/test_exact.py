@@ -1,9 +1,8 @@
-"""Kernel tests: polynomials, residues, resultants, row reduction, roots,
-radical field.
+"""Kernel tests: polynomials, residues, row reduction, roots, radical
+field.
 
-Expected values come from independent routes: sympy for residues and
-resultants, root products for resultants, direct series expansion by
-hand for the frozen residue cases.
+Expected values come from independent routes: sympy for residues,
+direct series expansion by hand for the frozen residue cases.
 """
 
 import random
@@ -26,7 +25,6 @@ from frobg2.exact import (
     poly_roots,
     residue,
     residue_at_infinity,
-    resultant,
     row_reduce,
 )
 from frobg2.graphs import builtin, graph_function
@@ -201,64 +199,6 @@ class TestTruncatedShift:
             residue(num, den, at)
 
 
-class TestResultant:
-    def test_known(self):
-        # res(x^2-1, x-2) = (2-1)(2+1) ... = p(2) up to sign conventions
-        p = Poly([F(-1), F(0), F(1)])
-        q = Poly([F(-2), F(1)])
-        assert resultant(p, q) == 3
-
-    def test_against_sympy(self):
-        # sympy's sign convention differs from the Sylvester determinant
-        # for odd deg(p)*deg(q); compare magnitudes there and require the
-        # determinant sign to match the root-product formula instead.
-        x = sympy.Symbol("x")
-        rng = random.Random(17)
-        for _ in range(12):
-            p = Poly([F(rng.randint(-6, 6)) for _ in range(rng.randint(2, 5))])
-            q = Poly([F(rng.randint(-6, 6)) for _ in range(rng.randint(2, 5))])
-            if p.degree < 1 or q.degree < 1:
-                continue
-            got = resultant(p, q)
-            expect = sympy.resultant(sympy_poly(p, x), sympy_poly(q, x), x)
-            expect = Fraction(int(expect.p), int(expect.q))
-            assert got == expect or got == -expect
-            assert abs(got) == abs(expect)
-
-    def test_root_product_formula(self):
-        # res(p,q) = lead(p)^deg(q) * prod q(alpha) over roots alpha of p
-        rng = random.Random(19)
-        for _ in range(6):
-            p = Poly([F(rng.randint(-6, 6)) for _ in range(rng.randint(3, 5))])
-            q = Poly([F(rng.randint(-6, 6)) for _ in range(rng.randint(3, 5))])
-            if p.degree < 2 or q.degree < 1:
-                continue
-            got = resultant(p, q)
-            roots = poly_roots(p, precision=192)
-            with mpmath.workprec(192):
-                prod = mpmath.mpc(1)
-                for r in roots:
-                    prod *= q(r)
-                lead = mpmath.mpf(p.coeffs[-1].numerator) / p.coeffs[-1].denominator
-                expect = lead ** q.degree * prod
-                gotn = mpmath.mpf(got.numerator) / got.denominator
-                assert abs(gotn - expect) < mpmath.mpf(2) ** -60 * (1 + abs(expect))
-
-    def test_shared_root_vanishes(self):
-        p = Poly([F(-2), F(1)]) * Poly([F(3), F(1)])
-        q = Poly([F(-2), F(1)]) * Poly([F(5), F(2)])
-        assert resultant(p, q) == 0
-
-
-class TestRadicalResultant:
-    def test_root_product_value(self):
-        # res(x^2 - 3, x - sqrt 2) = (sqrt 3 - sqrt 2)(-sqrt 3 - sqrt 2) = -1
-        K = RadicalField([F(2)])
-        p = Poly([K.rational(-3), K.rational(0), K.rational(1)])
-        q = Poly([-K.sqrt_gen(0), K.rational(1)])
-        assert resultant(p, q) == -1
-
-
 class TestRowReduce:
     def test_full_rank(self):
         rows = [[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(10)]]
@@ -371,21 +311,6 @@ class TestRadicals:
         assert i * i == K.rational(-1)
         z = 3 + 4 * i
         assert z * z.inverse() == K.one()
-        with mpmath.workprec(128):
-            v = z.to_mpc(128)
-            assert abs(v - mpmath.mpc(3, 4)) < mpmath.mpf(2) ** -100
-
-    def test_numeric_matches_symbolic(self):
-        K = RadicalField([F(2), F(5, 3)])
-        x = F(1, 2) + K.sqrt_gen(0) * F(3) - K.sqrt_gen(1) / 7 + K.sqrt_gen(0) * K.sqrt_gen(1)
-        with mpmath.workprec(200):
-            direct = (
-                mpmath.mpf(1) / 2
-                + 3 * mpmath.sqrt(2)
-                - mpmath.sqrt(mpmath.mpf(5) / 3) / 7
-                + mpmath.sqrt(2) * mpmath.sqrt(mpmath.mpf(5) / 3)
-            )
-            assert abs(x.to_mpc(200) - direct) < mpmath.mpf(2) ** -150
 
     def test_inverse_deep_tower(self):
         K = RadicalField([F(2), F(3), F(5), F(7)])

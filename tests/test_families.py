@@ -30,6 +30,7 @@ from frobg2.families import (
     MAX_RESAMPLE,
     DegenerateSample,
     FamilySpec,
+    Unsupported,
     _residual_ok,
     closed_form_o_difference,
     g2_vanishing_check,
@@ -389,12 +390,15 @@ class TestExactPointGate:
 class TestClosedFormGate:
     @pytest.mark.parametrize("delta", [0, 1], ids=["as-is", "perturbed"])
     def test_an_o_difference(self, monkeypatch, delta):
-        # the gate can fail: the An closed form of O1 - O2 moved by delta
-        # no longer matches the value at a sampled point
+        # the gate can fail: the An closed form of O1 - O2 moved by delta,
+        # through an orbifold weight 2, which adds (2^3 - 2)/6 = 1, no
+        # longer matches the value at a sampled point
         an = families.FAMILIES["An"]
-        moved = an.o_difference(FamilySpec.An(3)) + delta
+        weights = (2,) if delta else ()
+        assert closed_form_o_difference(FamilySpec.An(3)) == 0
         monkeypatch.setitem(families.FAMILIES, "An",
-                            dataclasses.replace(an, o_difference=lambda spec: moved))
+                            dataclasses.replace(an, orbifold_weights=lambda spec: weights))
+        assert closed_form_o_difference(FamilySpec.An(3)) == delta
         res = CliRunner().invoke(main, ["compute-odiff", "--family", "an", "--n", "3",
                                         "--points", "1"])
         assert res.exit_code == (1 if delta else 0), res.output
@@ -438,6 +442,35 @@ class TestGFunction:
         spec = FamilySpec.TwoDim(Fraction(1, 3))
         with pytest.raises(ValueError):
             gfunction_check(spec, points=1, seed=17)
+
+
+class TestRefusals:
+    """A check the family has no closed form or suite for is refused
+    before anything is built or forked."""
+
+    @pytest.mark.parametrize("refused", [
+        lambda: residue_identity_suite(FamilySpec.E7()),
+        lambda: gfunction_check(FamilySpec.TwoDim(Fraction(1, 2))),
+    ], ids=["residues-e7", "gfunction-2d"])
+    def test_library_raises_unsupported(self, monkeypatch, refused):
+        monkeypatch.setattr(genus2, "_built", {})
+        with pytest.raises(Unsupported) as exc:
+            refused()
+        assert isinstance(exc.value, ValueError)
+        assert genus2._built == {}
+
+    @pytest.mark.parametrize("args", [
+        "verify-residues --family e7",
+        "verify-gfunction --family 2d --mu1 1/2",
+    ])
+    def test_cli_exits_two(self, monkeypatch, tmp_path, args):
+        # with nothing kept, a build would write the store
+        monkeypatch.setattr(genus2, "_built", {})
+        res = CliRunner().invoke(main, args.split())
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        store = tmp_path / "cache" / "frobg2"
+        assert not store.exists() or not list(store.iterdir())
 
 
 class TestResidues:

@@ -8,7 +8,9 @@ Key oracles:
 * the sixteen constants are re-derivable by exact linear algebra from
   the reference expression and the correction term alone;
 * corrupting a single constant breaks the decomposition at a generic
-  point (sensitivity control).
+  point (sensitivity control);
+* F2, G2 and each Q_p keep the translation, metric and Euler scaling
+  symmetries, and one mis-transcribed term-table factor breaks one.
 """
 
 import copy
@@ -21,7 +23,7 @@ import pytest
 
 from frobg2 import expr as ex
 from frobg2 import genus2
-from frobg2.algebra import Algebra, random_context
+from frobg2.algebra import Algebra, EvalContext, random_context
 from frobg2.correlators import CorrelatorTable
 from frobg2.expr import add, const, dump, h, jet, mul, neg, pow_
 from frobg2.families import FamilySpec, relation_family_check
@@ -346,3 +348,64 @@ class TestConstantsGate:
         monkeypatch.setattr(genus2, "_built", {})
         want = "fail" if delta else "pass"
         assert check_decomposition(2, trials=2).verdict == want
+
+
+# the three exact symmetries of F2, G2 and each Q_p: each moves a point
+# and multiplies the value by a fixed factor
+_SYMMETRIES = {
+    # the string equation: a common shift of every u_i
+    "translation": (lambda c: EvalContext(c.n, [v + 7 for v in c.us], c.hs,
+                                          c.gammas, c.jets), 1),
+    # h -> 5h rescales the flat metric
+    "metric": (lambda c: EvalContext(c.n, c.us, [5 * v for v in c.hs],
+                                     c.gammas, c.jets), Fraction(1, 25)),
+    # quasi-homogeneity: (u, gamma, jets) -> (3u, gamma/3, 3 jets)
+    "euler": (lambda c: EvalContext(c.n, [3 * v for v in c.us], c.hs,
+                                    {k: v / 3 for k, v in c.gammas.items()},
+                                    {k: 3 * v for k, v in c.jets.items()}),
+              Fraction(1, 3)),
+}
+
+
+def _broken_symmetries(expr, n):
+    """The symmetries ``expr`` does not keep at one generic exact point."""
+    ctx = random_context(n, random.Random(5))
+    value = ctx.evaluate(expr)
+    assert value != 0  # a zero value keeps every scaling
+    return {name for name, (move, factor) in _SYMMETRIES.items()
+            if move(ctx).evaluate(expr) != factor * value}
+
+
+class TestSymmetryGate:
+    @pytest.mark.parametrize("name,n", [("F2", 2), ("F2", 3), ("G2", 2), ("G2", 3)]
+                             + [("Q%d" % p, 2) for p in range(1, 17)])
+    def test_symmetries_hold(self, name, n):
+        alg = Algebra(n)
+        if name == "F2":
+            expr = f2_reference(alg)
+        elif name == "G2":
+            expr = g2_function(alg)
+        else:
+            expr = graph_function(builtin(name), CorrelatorTable(alg))
+        assert _broken_symmetries(expr, n) == set()
+
+    @pytest.mark.parametrize("symmetry", list(_SYMMETRIES))
+    def test_each_fails_on_its_mutation(self, monkeypatch, warm_store, symmetry):
+        # the gate can fail, each symmetry on its own: one factor of one
+        # F2 term-table row, mis-transcribed, breaks that symmetry only
+        data = copy.deepcopy(genus2._F2_DATA)
+        term = {t["id"]: t for t in data["terms"]}
+        if symmetry == "translation":
+            # u_a - u_b read as u_a
+            monkeypatch.setitem(genus2._DERIVED, "u", lambda alg, a: ex.u(a))
+            factors = term[4]["f"]
+            factors[factors.index(["du", 0, 1, -1])] = ["u", 0, -1]
+        elif symmetry == "metric":
+            term[1]["f"].append(["h", 0, 1])  # an extra h factor
+        else:
+            # (u_b - u_a) gamma_ab read as gamma_ab
+            factors = term[4]["f"]
+            factors[factors.index(["V", 0, 1, 2])] = ["g", 0, 1, 2]
+        monkeypatch.setattr(genus2, "_F2_DATA", data)
+        monkeypatch.setattr(genus2, "_built", {})
+        assert _broken_symmetries(f2_reference(Algebra(2)), 2) == {symmetry}
