@@ -60,7 +60,7 @@ from .genus2 import (
     solve_coefficients,
     stored_builds,
 )
-from .graphs import builtin, canonicalize, catalog_names, enumerate_admissible, graph_function
+from .graphs import builtin, canonicalize, enumerate_admissible, graph_function
 from .report import DEFAULT_PRECISION, DEFAULT_SEED, VerificationReport, relative_tolerance
 
 EXIT_PASS = 0
@@ -202,11 +202,10 @@ def cmd_verify_decomposition(n, trials, seed):
 
 @_verb("solve-coefficients",
        click.option("--n", type=click.IntRange(min=2), default=2, show_default=True),
-       click.option("--samples", type=click.IntRange(min=32), default=32, show_default=True),
        seed_option)
-def cmd_solve_coefficients(n, samples, seed):
+def cmd_solve_coefficients(n, seed):
     """Re-derive the sixteen constants and compare with the catalog."""
-    solved = solve_coefficients(n, samples=samples, seed=seed)
+    solved = solve_coefficients(n, seed=seed)
     report = VerificationReport(command="solve-coefficients", n=n, seed=seed)
     for name, c in CONSTANTS.items():
         report.add_trial(name, str(solved[name]), solved[name] == c)
@@ -261,8 +260,7 @@ def cmd_verify_residues(family, draws, seed, **params):
 def cmd_enumerate_graphs(emit):
     """List the sixteen canonical graphs and check the enumeration."""
     classes = enumerate_admissible()
-    named = {name: canonicalize(builtin(name))
-             for name in catalog_names() if name.startswith("Q")}
+    named = {name: canonicalize(builtin(name)) for name in CONSTANTS}
     lines = []
     for name, g in named.items():
         if emit == "dot":

@@ -12,9 +12,9 @@ Builds, for a fixed dimension n:
 * ``correlator_D(t)`` -- genus-one functions (lengths 1..3), seeded by
   D_i = u_{i,x} dG/du_i + sum_j U^{j,1}_i/(24 u_{j,x}), the same
   recursion extending the length;
-* ``g_gradient(i)`` -- the G-function gradient, in its direct form and
-  in the equivalent Christoffel form (their pointwise equality is a
-  test);
+* ``g_gradient(i)`` -- the G-function gradient, in its direct form
+  (``tests/test_correlators.py`` checks it pointwise against the
+  equivalent Christoffel form);
 * ``h_function(alg, i)`` -- the tau-gradient part of ``g_gradient``,
   which the genus-two correction term also uses;
 * ``edge_weight(j)`` -- 1/(h_j^2 u_{j,x}), the weight a propagator edge

@@ -79,8 +79,6 @@ class Poly:
         return acc
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -93,8 +91,6 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly([other])
         return self + (-other)
 
     def __mul__(self, other):

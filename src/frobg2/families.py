@@ -141,7 +141,12 @@ class FamilySpec:
 
     @property
     def label(self):
-        return FAMILIES[self.kind].label.format_map(vars(self))
+        """The kind, then its parameters in parentheses; it seeds every
+        rng and digest of the family's points."""
+        params = FAMILIES[self.kind].params
+        if not params:
+            return self.kind
+        return "%s(%s)" % (self.kind, ",".join(str(getattr(self, p)) for p in params))
 
 
 @dataclass
@@ -925,7 +930,6 @@ class Family:
     flag: str  # the CLI's --family value
     params: tuple  # the constructor's arguments, named as CLI options
     make: Callable  # the FamilySpec constructor
-    label: str  # the spec label, formatted from the spec's fields
     sampler: Callable  # (spec, rng, precision) -> one draw, None if degenerate
     exact: bool
     ade: bool = False  # the G-function gradient vanishes
@@ -936,23 +940,20 @@ class Family:
 
 
 FAMILIES = {
-    "An": Family("an", ("n",), FamilySpec.An, "An({n})", _sample_an,
+    "An": Family("an", ("n",), FamilySpec.An, _sample_an,
                  exact=True, ade=True, residue_checks=_an_residue_checks),
-    "Dn": Family("dn", ("n",), FamilySpec.Dn, "Dn({n})", _sample_dn,
+    "Dn": Family("dn", ("n",), FamilySpec.Dn, _sample_dn,
                  exact=True, ade=True, residue_checks=_dn_residue_checks),
-    "E6": Family("e6", (), FamilySpec.E6, "E6", _sample_e68,
+    "E6": Family("e6", (), FamilySpec.E6, _sample_e68,
                  exact=False, ade=True, residue_checks=_e6_residue_checks),
-    "E7": Family("e7", (), FamilySpec.E7, "E7", _sample_e7,
-                 exact=False, ade=True),
-    "E8": Family("e8", (), FamilySpec.E8, "E8", _sample_e68,
+    "E7": Family("e7", (), FamilySpec.E7, _sample_e7, exact=False, ade=True),
+    "E8": Family("e8", (), FamilySpec.E8, _sample_e68,
                  exact=False, ade=True, residue_checks=_e8_residue_checks),
-    "Apq": Family("apq", ("p", "q"), FamilySpec.ApqOrbifold, "Apq({p},{q})",
-                  _sample_apq, exact=False,
+    "Apq": Family("apq", ("p", "q"), FamilySpec.ApqOrbifold, _sample_apq, exact=False,
                   orbifold_weights=lambda s: (s.p, s.q),
                   parameter_basis=_apq_parameter_basis, log_scale=lambda s: 1),
-    "Dr": Family("dr", ("r",), FamilySpec.DrOrbifold, "Dr({r})", _sample_dr,
+    "Dr": Family("dr", ("r",), FamilySpec.DrOrbifold, _sample_dr,
                  exact=False, orbifold_weights=lambda s: (2, 2, s.r),
                  parameter_basis=_dr_parameter_basis, log_scale=lambda s: s.r),
-    "TwoDim": Family("2d", ("mu1",), FamilySpec.TwoDim, "TwoDim({mu1})",
-                     _sample_twodim, exact=True),
+    "TwoDim": Family("2d", ("mu1",), FamilySpec.TwoDim, _sample_twodim, exact=True),
 }

@@ -408,26 +408,24 @@ def check_decomposition(n, trials=20, seed=DEFAULT_SEED):
     return report
 
 
-def solve_coefficients(n, samples=32, seed=DEFAULT_SEED):
+def solve_coefficients(n, seed=DEFAULT_SEED):
     """Re-derive the sixteen constants by exact linear algebra.
 
-    Solves sum_g a_g * graph(g) = f2_reference - g2_function at random
-    exact points and checks the solution is consistent on the leftover
-    equations.  Raises RuntimeError naming the coefficient rank out of
-    16: "singular" when it is below 16, "inconsistent" when it is full
-    but the right-hand side leaves the span.  At n = 1 the sixteen
+    Solves sum_g a_g * graph(g) = f2_reference - g2_function at 32
+    random exact points and checks the solution is consistent on the 16
+    leftover equations.  Raises RuntimeError naming the coefficient rank
+    out of 16: "singular" when it is below 16, "inconsistent" when it is
+    full but the right-hand side leaves the span.  At n = 1 the sixteen
     contractions span only three dimensions, so n must be at least 2.
     """
     if n < 2:
         raise ValueError("need n >= 2: the n = 1 system is singular")
-    if samples < 32:
-        raise ValueError("need at least 32 samples")
     alg = Algebra(n)
     table = CorrelatorTable(alg)
-    names = ["Q%d" % p for p in range(1, 17)]
+    names = list(CONSTANTS)
     cols = [graph_function(builtin(nm), table) for nm in names]
     target = add(f2_reference(alg), neg(g2_function(alg)))
-    rows = _generic_rows(n, random.Random(seed), cols + [target], samples,
+    rows = _generic_rows(n, random.Random(seed), cols + [target], 32,
                          lambda ctx, values: values)
     _, pivots, reduced = row_reduce(rows)
     if pivots != list(range(16)):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .expr import ZERO, add, jet, mul, neg
 from .correlators import CorrelatorTable
@@ -300,16 +300,10 @@ def enumerate_admissible():
         # the valence sum equals 3(N_v + B_1 - 1); allowing at most one
         # minimal-valence vertex forces N_v <= B_1 + 2
         for nv in range(1, b1 + 3):
-            if n_g1 > nv:
-                continue
             ne = nv + b1 - 1
             nl = ne
-            if ne < 0:
-                continue
             pairs = [(a, b) for a in range(nv) for b in range(a, nv)]
-            for genus_pos in combinations_with_replacement(range(nv), n_g1):
-                if len(set(genus_pos)) != len(genus_pos):
-                    continue
+            for genus_pos in combinations(range(nv), n_g1):
                 genera = [0] * nv
                 for v in genus_pos:
                     genera[v] = 1

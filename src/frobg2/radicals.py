@@ -172,14 +172,10 @@ class RadicalElem:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is Fraction:
-            terms = ((0, other),) if other else ()
-        else:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-            terms = other.coeffs.items()
-        return RadicalElem(self.field, _accumulate(dict(self.coeffs), terms))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RadicalElem(self.field, _accumulate(dict(self.coeffs), other.coeffs.items()))
 
     __radd__ = __add__
 
@@ -192,25 +188,11 @@ class RadicalElem:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if type(other) is Fraction:
-            if not other:
-                return RadicalElem(self.field, {})
-            return RadicalElem(self.field, {m: c * other for m, c in self.coeffs.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         shared = self.field.shared
-        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
-            ((m1, c1),) = self.coeffs.items()
-            ((m2, c2),) = other.coeffs.items()
-            c = c1 * c2
-            if m1 & m2:
-                c *= shared(m1 & m2)
-            return RadicalElem(self.field, {m1 ^ m2: c})
         terms = ((m1 ^ m2, c1 * c2 * shared(m1 & m2) if m1 & m2 else c1 * c2)
                  for m1, c1 in self.coeffs.items()
                  for m2, c2 in other.coeffs.items())
@@ -238,9 +220,6 @@ class RadicalElem:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, k):
         if k < 0:

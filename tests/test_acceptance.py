@@ -64,7 +64,7 @@ class TestDecompositionIdentity:
 # 2 -------------------------------------------------------------------------
 class TestCoefficientRecovery:
     def test_solved_constants(self):
-        solved = solve_coefficients(2, samples=32)
+        solved = solve_coefficients(2)
         assert solved == CONSTANTS
         # the four structurally anchored graphs
         assert solved["Q1"] == 0

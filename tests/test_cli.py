@@ -79,7 +79,7 @@ class TestExitCodes:
 
     def test_error_is_four(self, runner, monkeypatch):
         # a singular sampled system is an error, not a failed identity
-        def singular(n, samples, seed):
+        def singular(n, seed):
             raise RuntimeError("sampled linear system is singular or inconsistent")
 
         monkeypatch.setattr("frobg2.cli.solve_coefficients", singular)
@@ -170,7 +170,7 @@ class TestOutputFile:
         (RuntimeError("sampled linear system is singular or inconsistent"), 4),
     ])
     def test_no_file_without_output(self, runner, tmp_path, monkeypatch, error, code):
-        def broken(n, samples, seed):
+        def broken(n, seed):
             raise error
 
         monkeypatch.setattr("frobg2.cli.solve_coefficients", broken)
@@ -466,7 +466,7 @@ class TestProcessExit:
         res = python_process(_calling(
             "solve-coefficients --n 2", "import frobg2.cli as cli",
             "from frobg2.exact import NonConvergenceError",
-            "def broken(n, samples, seed):",
+            "def broken(n, seed):",
             "    raise " + error,
             "cli.solve_coefficients = broken", "cli.run()"))
         assert res.returncode == code

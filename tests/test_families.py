@@ -161,6 +161,18 @@ class TestPinnedSamples:
         assert _point_sha(sample(spec, seed=seed)) == PINNED_SAMPLES[label, seed]
 
 
+class TestLabels:
+    def test_pinned_strings(self):
+        # the label seeds every family rng and digest, so its bytes are pinned
+        labels = [spec.label for spec in [
+            FamilySpec.An(4), FamilySpec.Dn(5), FamilySpec.E6(), FamilySpec.E7(),
+            FamilySpec.E8(), FamilySpec.ApqOrbifold(1, 2), FamilySpec.DrOrbifold(3),
+            FamilySpec.TwoDim(Fraction(1, 2)), FamilySpec.TwoDim(Fraction(-3, 4)),
+        ]]
+        assert labels == ["An(4)", "Dn(5)", "E6", "E7", "E8", "Apq(1,2)", "Dr(3)",
+                          "TwoDim(1/2)", "TwoDim(-3/4)"]
+
+
 class TestDrawLoop:
     @staticmethod
     def _counting(monkeypatch, kind, field, result):
