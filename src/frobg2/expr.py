@@ -22,11 +22,12 @@ order.  ``save`` writes a kept DAG in ``sid`` order, so that ``load``
 creates its nodes in the order the build did.
 
 A DAG is evaluated by one loop, ``evaluate``, over a kernel: an object
-with ``name``, ``fresh``, ``const``, ``gen``, ``power``, ``fold``,
-``scalar`` and ``passes``.  The exact kernel, ``EXACT``, lives here.
-The numeric kernel lives in ``frobg2.numeric``, which imports this
-module; this module imports neither it nor mpmath, so exact
-evaluation never loads the floating-point library.
+with ``name``, ``fresh``, ``const``, ``gen``, ``power(node, cache)``,
+``fold(node, cache)``, ``scalar`` and ``passes``, which carries its own
+arithmetic context.  The exact kernel, ``EXACT``, lives here.  The
+numeric kernel lives in ``frobg2.numeric``, which imports this module;
+this module imports neither it nor mpmath, so exact evaluation never
+loads the floating-point library.
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ class ExactKernel:
         return _by_operators(node, cache)
 
     @staticmethod
-    def fold(node, cache, memo):
+    def fold(node, cache):
         is_add = node.op == OP_ADD
         it = iter(node.args)
         v = cache[next(it)]
@@ -530,9 +531,8 @@ EXACT = ExactKernel()
 def evaluate(e, gen_value, cache=None, kernel=EXACT):
     """The value of e at a point, whatever the kernel.  ``gen_value``
     maps (kind, i, p) to a scalar, ``cache`` is a per-point memo of
-    kernel values; ``memo`` is the kernel's, for this call only.  A node
-    already in ``cache`` is not computed again, and a root already there
-    is returned at once.
+    kernel values.  A node already in ``cache`` is not computed again,
+    and a root already there is returned at once.
 
     A DAG given to ``keep_schedule`` is evaluated in its kept order, and
     each value is dropped from ``cache`` at its last use in that order,
@@ -545,7 +545,6 @@ def evaluate(e, gen_value, cache=None, kernel=EXACT):
     elif e in cache:
         return kernel.scalar(cache[e])
     const, gen, power, fold = kernel.const, kernel.gen, kernel.power, kernel.fold
-    memo = {}
     order, plan = _schedule(e)
     for node, dead in zip(order, plan):
         if node not in cache:
@@ -557,7 +556,7 @@ def evaluate(e, gen_value, cache=None, kernel=EXACT):
             elif op == OP_POW:
                 cache[node] = power(node, cache)
             else:
-                cache[node] = fold(node, cache, memo)
+                cache[node] = fold(node, cache)
         for c in dead:
             del cache[c]
     return kernel.scalar(cache[e])

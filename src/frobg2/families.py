@@ -183,8 +183,8 @@ def _monic_from_roots(roots, lead=Fraction(1)):
     return out
 
 
-def _rand_mpc(rng, bound=8):
-    return random_rational(rng, bound), random_rational(rng, bound)
+def _rand_mpc(rng):
+    return random_rational(rng, 8), random_rational(rng, 8)
 
 
 def _to_mpc(pair):
@@ -262,9 +262,9 @@ def _sample_an(spec, rng, precision):
     }
 
 
-def _dn_xs(rng, n, bound=12):
+def _dn_xs(rng, n):
     """n - 1 free nonzero rationals plus the reciprocal-sum closure."""
-    xs = [random_rational(rng, bound) for _ in range(n - 1)]
+    xs = [random_rational(rng, 12) for _ in range(n - 1)]
     if any(x == 0 for x in xs):
         return None
     s = sum((Fraction(1) / x for x in xs), Fraction(0))
@@ -504,14 +504,17 @@ def _sample_dr(spec, rng, precision):
 
 def _working_precision(spec, precision):
     """The block a family's points are drawn and its trials run in:
-    ``mpmath.workprec(precision + 64)`` for a numeric family, so that no
-    residual depends on the ambient precision; a null context for an
-    exact family, which makes no mpmath number and so loads no mpmath."""
+    ``mpmath.workprec(precision + GUARD_BITS)`` for a numeric family, so
+    that what runs on mpmath's operators (the sampler and its roots, the
+    gradient Jacobian, ``val - want``, ``_res_str``) reads no ambient
+    precision; a null context for an exact family, which loads no mpmath."""
     if spec.exact:
         return nullcontext()
     import mpmath
 
-    return mpmath.workprec(precision + 64)
+    from .numeric import GUARD_BITS
+
+    return mpmath.workprec(precision + GUARD_BITS)
 
 
 def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
@@ -851,7 +854,7 @@ def _family_suite(command, spec, points, seed, precision, trials, **params):
     """The report of ``trials(point)`` on ``points`` family points drawn
     at seeds seed, seed + 1, ...; ``trials`` returns one (residual, ok)
     pair per trial.  Sampling, the trials and their residual strings
-    all run at precision + 64 bits on a numeric family, whatever the
+    all run at precision + GUARD_BITS on a numeric family, whatever the
     ambient precision (``_working_precision``).
     Each point depends only on its seed, so the points are shared out
     among forked workers (``algebra.forked_map``); their trials are reported

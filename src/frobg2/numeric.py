@@ -1,12 +1,13 @@
-"""The numeric kernel of ``expr.evaluate``: mpmath numbers at a working
-precision, kept as raw libmp values.
+"""The numeric kernel of ``expr.evaluate``: mpmath numbers kept as raw
+libmp values, in an arithmetic context of the kernel's own.
 
 ``NumericKernel`` evaluates a DAG at a point of mpmath numbers (and
 Fractions) through the one loop of ``expr.evaluate``, and notes the
-largest addend for the relative tolerance of its verdict.  A family
-gets it from ``families.sample`` for a numeric spec; ``expr`` holds the
-DAG, the loop, the exact kernel and the kernel protocol, and never
-imports this module, which imports ``expr``.
+largest addend for the relative tolerance of its verdict.  It rounds to
+nearest at ``precision + GUARD_BITS`` bits, whatever mpmath's global
+precision is.  A family gets it from ``families.sample`` for a numeric
+spec; ``expr`` holds the DAG, the loop, the exact kernel and the kernel
+protocol, and never imports this module, which imports ``expr``.
 
 mpmath is loaded when a process makes its first numeric value, and this
 module when it samples its first numeric point; a process that decides
@@ -33,7 +34,7 @@ from mpmath.libmp import (
 from .expr import OP_ADD
 from .report import _residual_ok
 
-_mp = mpmath.mp
+GUARD_BITS = 64  # the bits computed above a verdict's precision
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +43,11 @@ _mp = mpmath.mp
 # Values are kept as libmp's raw tuples: an mpc as its ``_mpc_`` pair of
 # parts, an mpf as its ``_mpf_`` part (sign, man, exp, bc), a Fraction as
 # it is.  A sum or product of two of them is what mpmath's operators
-# compute.  At round-to-nearest, the usual rounding, a complex product,
-# a complex sum and a complex times real product of nonzero finite parts
-# are computed here in one call each, by the branches of libmp's
-# mpf_mul, mpf_add and normalize, so they round the same bits; every
-# other case is left to the libmp function mpmath would call.
+# compute, rounding to nearest.  A complex product, a complex sum and a
+# complex times real product of nonzero finite parts are computed here
+# in one call each, by the branches of libmp's mpf_mul, mpf_add and
+# normalize, so they round the same bits; every other case is left to
+# the libmp function mpmath would call.
 
 
 def _rounded(sign, man, exp, prec):
@@ -96,55 +97,55 @@ def _sum(ssign, sman, sexp, tsign, tman, texp, prec):
     return fzero
 
 
-def _cadd(z, w, prec, rnd):
-    """``mpc_add(z, w, prec, rnd)``."""
+def _cadd(z, w, prec):
+    """``mpc_add(z, w, prec, 'n')``."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
     (csg, cm, ce, _), (dsg, dm, de, _) = w
-    if rnd != "n" or not (am and bm and cm and dm):
-        return mpc_add(z, w, prec, rnd)
+    if not (am and bm and cm and dm):
+        return mpc_add(z, w, prec, "n")
     return _sum(asg, am, ae, csg, cm, ce, prec), _sum(bsg, bm, be, dsg, dm, de, prec)
 
 
-def _cmul(z, w, prec, rnd):
-    """``mpc_mul(z, w, prec, rnd)``: the four products exact, as mpf_mul
+def _cmul(z, w, prec):
+    """``mpc_mul(z, w, prec, 'n')``: the four products exact, as mpf_mul
     makes them at prec=0, then a difference and a sum each rounded."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
     (csg, cm, ce, _), (dsg, dm, de, _) = w
-    if rnd != "n" or not (am and bm and cm and dm):
-        return mpc_mul(z, w, prec, rnd)
+    if not (am and bm and cm and dm):
+        return mpc_mul(z, w, prec, "n")
     return (_sum(asg ^ csg, am * cm, ae + ce, bsg ^ dsg ^ 1, bm * dm, be + de, prec),
             _sum(asg ^ dsg, am * dm, ae + de, bsg ^ csg, bm * cm, be + ce, prec))
 
 
-def _cscale(z, x, prec, rnd):
-    """``mpc_mul_mpf(z, x, prec, rnd)``."""
+def _cscale(z, x, prec):
+    """``mpc_mul_mpf(z, x, prec, 'n')``."""
     (asg, am, ae, _), (bsg, bm, be, _) = z
     xsg, xm, xe, _ = x
-    if rnd != "n" or not (am and bm and xm):
-        return mpc_mul_mpf(z, x, prec, rnd)
+    if not (am and bm and xm):
+        return mpc_mul_mpf(z, x, prec, "n")
     return _rounded(asg ^ xsg, am * xm, ae + xe, prec), _rounded(bsg ^ xsg, bm * xm, be + xe, prec)
 
 
-def _plus(v, w, prec, rnd):
+def _plus(v, w, prec):
     """v + w for raw mpmath values, as ``mpc.__add__``/``mpf.__add__``."""
     if len(v) == 2:
         if len(w) == 2:
-            return _cadd(v, w, prec, rnd)
-        return mpc_add_mpf(v, w, prec, rnd)
+            return _cadd(v, w, prec)
+        return mpc_add_mpf(v, w, prec, "n")
     if len(w) == 2:
-        return mpc_add_mpf(w, v, prec, rnd)
-    return mpf_add(v, w, prec, rnd)
+        return mpc_add_mpf(w, v, prec, "n")
+    return mpf_add(v, w, prec, "n")
 
 
-def _times(v, w, prec, rnd):
+def _times(v, w, prec):
     """v * w for raw mpmath values, as ``mpc.__mul__``/``mpf.__mul__``."""
     if len(v) == 2:
         if len(w) == 2:
-            return _cmul(v, w, prec, rnd)
-        return _cscale(v, w, prec, rnd)
+            return _cmul(v, w, prec)
+        return _cscale(v, w, prec)
     if len(w) == 2:
-        return _cscale(w, v, prec, rnd)
-    return mpf_mul(v, w, prec, rnd)
+        return _cscale(w, v, prec)
+    return mpf_mul(v, w, prec, "n")
 
 
 def _raw(v):
@@ -162,13 +163,13 @@ def _wrapped(v):
     """A kept value as the mpmath number (or Fraction) it stands for."""
     if type(v) is not tuple:
         return v
-    return _mp.make_mpc(v) if len(v) == 2 else _mp.make_mpf(v)
+    return mpmath.mp.make_mpc(v) if len(v) == 2 else mpmath.mp.make_mpf(v)
 
 
 class NumericKernel:
-    """mpmath numbers at each call's working precision, kept as raw
-    libmp values (see above), and Fractions.  A value passes below the
-    relative tolerance at ``precision`` bits of the largest addend
+    """mpmath numbers kept as raw libmp values (see above), and
+    Fractions, at ``precision + GUARD_BITS`` bits.  A value passes below
+    the relative tolerance at ``precision`` bits of the largest addend
     noted, so one kernel serves one context, whose evaluations all note
     into it.
 
@@ -176,9 +177,10 @@ class NumericKernel:
     beyond the float range reads inf.  An mpmath addend whose binary
     exponents put it below ``2 ** _below``, which is at most
     ``max_mag``, cannot be a new maximum and is skipped without taking
-    its working-precision ``abs()``."""
+    its ``abs()``.  ``_mpfs`` keeps each Fraction (p, q) that met an
+    mpmath value as ``mp.convert`` made it."""
 
-    __slots__ = ("precision", "max_mag", "_below")
+    __slots__ = ("precision", "max_mag", "_below", "_prec", "_mpfs")
     name = "numeric"
     const = staticmethod(lambda q: q)
     gen = staticmethod(_raw)
@@ -188,6 +190,8 @@ class NumericKernel:
         self.precision = precision
         self.max_mag = 0.0
         self._below = None  # None while max_mag is 0 or inf
+        self._prec = precision + GUARD_BITS
+        self._mpfs = {}
 
     def note(self, v):
         """Note an addend: a kept value, an mpmath number or a Fraction."""
@@ -214,9 +218,9 @@ class NumericKernel:
                     # is never a new maximum
                     if top is None or top + 1 <= below:
                         return
-            prec, rnd = _mp._prec_rounding
-            m = to_float(mpc_abs(v, prec, rnd) if len(v) == 2 else mpf_abs(v, prec, rnd),
-                         rnd=rnd)
+            prec = self._prec
+            m = to_float(mpc_abs(v, prec, "n") if len(v) == 2 else mpf_abs(v, prec, "n"),
+                         rnd="n")
         if m > self.max_mag:
             self.max_mag = m
             self._below = None if isinf(m) else frexp(m)[1] - 1
@@ -227,29 +231,26 @@ class NumericKernel:
     def passes(self, v):
         return _residual_ok(v, self.precision, self.max_mag)
 
-    @staticmethod
-    def power(node, cache):
+    def power(self, node, cache):
         b, k = node.args
         v = cache[b]
         if type(v) is not tuple:
             return v ** k
-        prec, rnd = _mp._prec_rounding
-        return mpc_pow_int(v, k, prec, rnd) if len(v) == 2 else mpf_pow_int(v, k, prec, rnd)
+        prec = self._prec
+        return mpc_pow_int(v, k, prec, "n") if len(v) == 2 else mpf_pow_int(v, k, prec, "n")
 
-    def fold(self, node, cache, converted):
+    def fold(self, node, cache):
         """Left-to-right sum or product of a node's operands, as mpmath's
         operators compute it.  A Fraction that meets an mpmath value is
-        converted once per evaluate call (``converted``), to the rounding
-        of ``mp.convert``; Fraction with Fraction stays exact."""
-        prec, rnd = _mp._prec_rounding
+        converted as ``mp.convert`` does; Fraction with Fraction stays
+        exact."""
+        prec = self._prec
         is_add = node.op == OP_ADD
         step = _plus if is_add else _times
         args = node.args
         v = cache[args[0]]
         if is_add:
             self.note(v)
-        # the node whose exact value v still is, while v is an unconverted Fraction
-        pending = args[0] if type(v) is Fraction else None
         for c in args[1:]:
             cv = cache[c]
             if is_add:
@@ -258,23 +259,19 @@ class NumericKernel:
                 if type(v) is Fraction:
                     v = v + cv if is_add else v * cv
                 else:
-                    v = step(v, _converted(c, cv, converted, prec), prec, rnd)
+                    v = step(v, self._mpf(cv), prec)
             elif type(v) is Fraction:
                 # Fraction op mpmath dispatches to the mpmath operand's
-                # reflected operator, which computes cv op convert(v); a
-                # Fraction made by an earlier step is a node of no memo
-                q = (from_rational(v.numerator, v.denominator, prec) if pending is None
-                     else _converted(pending, v, converted, prec))
-                v = step(cv, q, prec, rnd)
+                # reflected operator, which computes cv op convert(v)
+                v = step(cv, self._mpf(v), prec)
             else:
-                v = step(v, cv, prec, rnd)
-            pending = None
+                v = step(v, cv, prec)
         return v
 
-
-def _converted(node, q, converted, prec):
-    """The Fraction ``q``, the value of ``node``, as ``mp.convert`` makes it."""
-    m = converted.get(node)
-    if m is None:
-        m = converted[node] = from_rational(q.numerator, q.denominator, prec)
-    return m
+    def _mpf(self, q):
+        """The Fraction ``q`` as ``mp.convert`` makes it."""
+        key = q.as_integer_ratio()
+        m = self._mpfs.get(key)
+        if m is None:
+            m = self._mpfs[key] = from_rational(*key, self._prec)
+        return m

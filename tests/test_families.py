@@ -40,7 +40,7 @@ from frobg2.families import (
     residue_identity_suite,
     sample,
 )
-from frobg2.genus2 import o_difference_graphs
+from frobg2.genus2 import g2_function, o_difference_graphs
 from frobg2.algebra import Algebra
 from frobg2.radicals import RadicalElem, radical_tower
 
@@ -367,7 +367,9 @@ class TestAmbientPrecision:
         (relation_family_check, FamilySpec.An(3)),
         (g2_vanishing_check, FamilySpec.Dn(4)),
         (g2_vanishing_check, FamilySpec.TwoDim(Fraction(1, 2))),
-    ], ids=["relation", "g2", "odiff", "relation-An(3)", "g2-Dn(4)", "g2-TwoDim(1/2)"])
+        (gfunction_check, FamilySpec.ApqOrbifold(1, 2)),
+    ], ids=["relation", "g2", "odiff", "relation-An(3)", "g2-Dn(4)", "g2-TwoDim(1/2)",
+            "gfunction"])
     def test_report_ignores_ambient_precision(self, check, spec):
         with mpmath.workprec(53):
             want = check(spec, points=1).to_json()
@@ -375,6 +377,20 @@ class TestAmbientPrecision:
             got = check(spec, points=1).to_json()
             assert mpmath.mp.prec == 20
         assert got == want
+
+    def test_point_value_ignores_ambient_precision(self):
+        # the numeric kernel computes at its own precision: G2 at an
+        # orbifold point is the same value, noted against the same
+        # largest addend, at any global mpmath precision
+        e = g2_function(Algebra(4))
+        seen = set()
+        for prec in (20, 53, 320):
+            with mpmath.workprec(prec):
+                ctx = sample(FamilySpec.ApqOrbifold(2, 2), seed=1).context()
+                val = ctx.evaluate(e)
+                assert ctx.kernel.passes(val)
+            seen.add((val._mpc_, ctx.kernel.max_mag))
+        assert len(seen) == 1
 
 
 class TestExactPointGate:
