@@ -67,13 +67,15 @@ class Expr:
     # interned: identity equality and hashing are inherited from object
 
 
-_intern: "WeakValueDictionary[tuple, Expr]" = WeakValueDictionary()
+# one table per operator, each node interned under its own operand
+# tuple, so that no key tuple is made beside the node's ``args``
+_intern = tuple(WeakValueDictionary() for _ in range(OP_POW + 1))
 _next_sid = [0]
 
 
 def _mk(op, args, hcomps):
-    key = (op,) + args
-    node = _intern.get(key)
+    table = _intern[op]
+    node = table.get(args)
     if node is None:
         node = Expr()
         node.op = op
@@ -81,7 +83,7 @@ def _mk(op, args, hcomps):
         node.shash = hash((op,) + hcomps) & _MASK
         node.sid = _next_sid[0]
         _next_sid[0] += 1
-        _intern[key] = node
+        table[args] = node
     return node
 
 
@@ -465,6 +467,9 @@ class ExactKernel:
     def fresh(self):
         return self
 
+    def __reduce__(self):
+        return "EXACT"  # a point a worker hands back keeps the one kernel
+
     @staticmethod
     def power(node, cache):
         b, k = node.args
@@ -503,9 +508,10 @@ class ExactKernel:
                         m = m2
                     if d2 == d:
                         n += n2
-                    else:
-                        n = n * d2 + n2 * d
-                        d *= d2
+                    else:  # over the least common denominator
+                        g = gcd(d, d2)
+                        n = n * (d2 // g) + n2 * (d // g)
+                        d = d // g * d2
                 else:
                     if m & m2:
                         q = f.shared(m & m2)

@@ -17,7 +17,10 @@ redraws it up to ``MAX_RESAMPLE`` times and then raises
 residue checks of a suite, like the generic exact points of
 ``genus2``, are a longer stream whose draws are computed on forked
 workers.  The family suites fork too (``algebra.forked_map``): each
-point has its own seed.
+point has its own seed.  ``sample`` keeps each point it draws for the
+life of the process, keyed by (spec, seed, precision), and a suite's
+workers send the points they drew back to it, so a session that runs
+several suites on the same points draws each of them once.
 A root finder that does not converge makes a degenerate draw; any
 other error propagates.
 
@@ -149,7 +152,7 @@ class FamilySpec:
         return "%s(%s)" % (self.kind, ",".join(str(getattr(self, p)) for p in params))
 
 
-@dataclass
+@dataclass(frozen=True)  # ``sample`` hands one object to every caller
 class SamplePoint:
     n: int
     us: list
@@ -517,9 +520,23 @@ def _working_precision(spec, precision):
     return mpmath.workprec(precision + GUARD_BITS)
 
 
+# (spec, seed, precision) -> the SamplePoint ``sample`` drew there, for
+# the life of the process; ``_family_suite`` adds the points its forked
+# workers drew
+_points = {}
+
+
 def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
-    """Draw a SamplePoint of the family; pure in (spec, seed, precision).
-    A draw whose u_i are not distinct is degenerate like any other."""
+    """Draw a SamplePoint of the family; pure in (spec, seed, precision),
+    so each point is drawn once per process, kept in ``_points`` and
+    handed to every later caller as the same object, which no caller
+    changes.  A draw that raises (``DegenerateSample``, a root-finder
+    error) keeps nothing.  A draw whose u_i are not distinct is
+    degenerate like any other."""
+    key = (spec, seed, precision)
+    point = _points.get(key)
+    if point is not None:
+        return point
     rng = random.Random("%s|%s" % (seed, spec.label))
     sampler = FAMILIES[spec.kind].sampler
 
@@ -537,13 +554,14 @@ def sample(spec, seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
         from .numeric import NumericKernel
 
         kernel = NumericKernel(precision)
-    return SamplePoint(
+    point = _points[key] = SamplePoint(
         n=spec.n, us=data.pop("us"), hs=data.pop("hs"), gammas=data.pop("gammas"),
         jets=random_jets(rng, spec.n, 50),
         kernel=kernel,
         draw=data.pop("draw"),
         internal=data,  # what is left: the family's own parameters
     )
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -858,19 +876,29 @@ def _family_suite(command, spec, points, seed, precision, trials, **params):
     ambient precision (``_working_precision``).
     Each point depends only on its seed, so the points are shared out
     among forked workers (``algebra.forked_map``); their trials are reported
-    in point order, and the report is the same for any worker count."""
+    in point order, and the report is the same for any worker count.
+    A worker sends each point it drew back beside that point's rows, and
+    this process keeps it in ``sample``'s memo, so that the next suite
+    on the same points draws none of them again.  Only a point that the
+    real ``sample`` added to the worker's memo is sent, never what a
+    patched ``families.sample`` returned."""
     report = VerificationReport(
         command=command, n=spec.n, family=spec.label,
         seed=seed, precision=precision, params=params,
     )
 
     def rows(k):
+        key = (spec, seed + k, precision)
+        new = key not in _points
         point = sample(spec, seed=seed + k, precision=precision)
         digest = point.digest()
-        return [(digest, res, ok) for res, ok in trials(point)]
+        point_rows = [(digest, res, ok) for res, ok in trials(point)]
+        return point_rows, _points.get(key) if new else None
 
     with _working_precision(spec, precision):
-        for point_rows in forked_map(rows, range(points)):
+        for k, (point_rows, drawn) in enumerate(forked_map(rows, range(points))):
+            if drawn is not None:
+                _points.setdefault((spec, seed + k, precision), drawn)
             for row in point_rows:
                 report.add_trial(*row)
     return report

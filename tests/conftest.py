@@ -22,6 +22,16 @@ def no_child_left():
 
 
 @pytest.fixture(autouse=True)
+def no_kept_points():
+    """Each test starts with ``families.sample``'s memo empty, so that no
+    point an earlier test drew, with a patched sampler or root finder or
+    without one, is handed to this test in place of a fresh draw."""
+    from frobg2 import families
+
+    families._points.clear()
+
+
+@pytest.fixture(autouse=True)
 def own_cache_home(tmp_path, monkeypatch):
     """The CLI's DAG store (``genus2.stored_builds``) lives under the
     test's own directory, for a verb run in this process or in a child:

@@ -54,11 +54,16 @@ NUMERIC_TOL = mpmath.mpf(2) ** -128
 
 # 1 -------------------------------------------------------------------------
 class TestDecompositionIdentity:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exact_zero_at_20_points(self, n):
         report = check_decomposition(n, trials=20)
         assert report.verdict == "pass"
         assert len(report.trials) == 20
+
+    def test_exact_zero_at_n5(self):
+        report = check_decomposition(5, trials=2)
+        assert report.verdict == "pass"
+        assert len(report.trials) == 2
 
 
 # 2 -------------------------------------------------------------------------

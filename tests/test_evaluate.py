@@ -153,6 +153,28 @@ def _check_exact(ctx, exprs):
     return values
 
 
+_SUM_FIELD = RadicalField([2, 3])
+
+
+@st.composite
+def _exact_sums(draw):
+    """(values, a sum of two to six distinct generators): each addend is
+    a generator or its inverse, times a constant or not, at a Fraction
+    or a one-term RadicalElem.  Denominators are shared or coprime, an
+    inverse of a negative value gives a negative one, and the masks are
+    the same or differ."""
+    values, terms = {}, []
+    for i in range(1, draw(st.integers(2, 6)) + 1):
+        q = Fraction(draw(st.integers(-40, 40).filter(bool)),
+                     draw(st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10, 12, 15, 30])))
+        mask = draw(st.sampled_from([None, 0, 1, 3]))  # None: a Fraction
+        values[(ex.GK_U, i, 0)] = q if mask is None else _SUM_FIELD.element({mask: q})
+        term = ex.pow_(ex.u(i), -1) if draw(st.booleans()) else ex.u(i)
+        coeff = draw(st.sampled_from([1, 1, 2, Fraction(-5, 6)]))
+        terms.append(ex.mul(ex.const(coeff), term))
+    return values, ex.add(*terms)
+
+
 def _is_zero(v):
     return v.is_zero() if isinstance(v, RadicalElem) else v == 0
 
@@ -241,6 +263,23 @@ class TestExactEvaluation:
                 want = _reference_evaluate(e, values.__getitem__, {})
                 got = ex.evaluate(e, values.__getitem__)
             _assert_same(got, want)
+
+    @given(_exact_sums())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_by_operators(self, case):
+        values, e = case
+        _assert_same(ex.evaluate(e, values.__getitem__),
+                     _reference_evaluate(e, values.__getitem__, {}))
+
+    def test_sum_over_least_common_denominator(self, monkeypatch):
+        # 1/6 + 1/10 + 1/15 = 1/3 is formed over 30, not over 6 * 10 * 15
+        calls = []
+        real = ex.gcd
+        monkeypatch.setattr(ex, "gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+        values = {(ex.GK_U, i, 0): Fraction(1, d) for i, d in ((1, 6), (2, 10), (3, 15))}
+        got = ex.evaluate(ex.add(ex.u(1), ex.u(2), ex.u(3)), values.__getitem__)
+        assert got == Fraction(1, 3)
+        assert max(abs(x) for call in calls for x in call) == 30
 
     @pytest.mark.parametrize("zero", [Fraction(0), RadicalField([2]).zero()],
                              ids=["Fraction", "RadicalElem"])

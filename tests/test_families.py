@@ -43,12 +43,14 @@ from frobg2.families import (
 from frobg2.genus2 import g2_function, o_difference_graphs
 from frobg2.algebra import Algebra
 from frobg2.radicals import RadicalElem, radical_tower
+from frobg2.report import DEFAULT_PRECISION
 
 
 class TestSampling:
     def test_deterministic(self):
         spec = FamilySpec.An(3)
         a = sample(spec, seed=5)
+        families._points.clear()  # so that b is drawn again, not looked up
         b = sample(spec, seed=5)
         assert a.digest() == b.digest()
         c = sample(spec, seed=6)
@@ -199,6 +201,15 @@ class TestDrawLoop:
             sample(FamilySpec.An(3), seed=1)
         assert len(calls) == MAX_RESAMPLE
 
+    def test_failed_draw_is_not_kept(self, monkeypatch):
+        # a sample that gives up keeps nothing: the next call draws again
+        calls = self._counting(monkeypatch, "An", "sampler", None)
+        for _ in range(2):
+            with pytest.raises(DegenerateSample):
+                sample(FamilySpec.An(3), seed=1)
+        assert len(calls) == 2 * MAX_RESAMPLE
+        assert not families._points
+
     def test_residue_suite_gives_up(self, monkeypatch):
         calls = self._counting(monkeypatch, "E6", "residue_checks", None)
         with pytest.raises(DegenerateSample):
@@ -222,6 +233,7 @@ class TestDrawLoop:
     def test_nonconvergence_redraws(self, monkeypatch):
         spec = FamilySpec.E6()
         plain = sample(spec, seed=3)  # one root-finder call at this seed
+        families._points.clear()  # so that the second draw is made, not looked up
         calls = self._patch_roots(monkeypatch, NonConvergenceError("forced"))
         redrawn = sample(spec, seed=3)
         assert len(calls) == 2
@@ -231,6 +243,15 @@ class TestDrawLoop:
         self._patch_roots(monkeypatch, RuntimeError("root finder bug"))
         with pytest.raises(RuntimeError, match="root finder bug"):
             sample(FamilySpec.E6(), seed=3)
+
+    def test_propagated_error_is_not_kept(self, monkeypatch):
+        calls = self._patch_roots(monkeypatch, RuntimeError("root finder bug"))
+        with pytest.raises(RuntimeError):
+            sample(FamilySpec.E6(), seed=3)
+        assert not families._points
+        point = sample(FamilySpec.E6(), seed=3)  # drawn, not an error kept
+        assert len(calls) == 2
+        assert families._points == {(FamilySpec.E6(), 3, DEFAULT_PRECISION): point}
 
     @staticmethod
     def _degenerate_generic_points(monkeypatch):
@@ -373,6 +394,7 @@ class TestAmbientPrecision:
     def test_report_ignores_ambient_precision(self, check, spec):
         with mpmath.workprec(53):
             want = check(spec, points=1).to_json()
+        families._points.clear()  # the run at 20 bits draws its point again
         with mpmath.workprec(20):
             got = check(spec, points=1).to_json()
             assert mpmath.mp.prec == 20
@@ -385,6 +407,7 @@ class TestAmbientPrecision:
         e = g2_function(Algebra(4))
         seen = set()
         for prec in (20, 53, 320):
+            families._points.clear()  # each precision draws the point again
             with mpmath.workprec(prec):
                 ctx = sample(FamilySpec.ApqOrbifold(2, 2), seed=1).context()
                 val = ctx.evaluate(e)

@@ -34,8 +34,9 @@ from frobg2 import algebra, families, genus2
 from frobg2.algebra import ResampleNeeded
 from frobg2.cli import main
 from frobg2.exact import NonConvergenceError
+from frobg2.expr import EXACT
 from frobg2.families import FAMILIES, DegenerateSample, sample
-from frobg2.report import DEFAULT_SEED
+from frobg2.report import DEFAULT_PRECISION, DEFAULT_SEED
 
 SUITE_VERBS = ["verify-g2", "verify-relation", "compute-odiff", "verify-gfunction"]
 
@@ -87,6 +88,7 @@ class TestWorkerCount:
         for count in (1, 2, 3):
             forks = workers(count)
             made = len(forks)
+            families._points.clear()  # each run draws its points on its own workers
             res = _run([verb] + family + ["--points", "3"])
             assert res.exit_code == 0, res.output
             assert len(forks) - made == count - 1
@@ -146,6 +148,7 @@ class TestWorkerFailures:
         results = []
         for count in (1, 2):
             forks = workers(count)
+            families._points.clear()
             results.append(_run(["verify-g2", "--family", "an", "--n", "3",
                                  "--points", "2"]))
         assert len(forks) == 1
@@ -181,6 +184,7 @@ class TestWorkerFailures:
         results = []
         for count in (1, 2, 3):
             workers(count)
+            families._points.clear()
             results.append(_run(["verify-g2", "--family", "an", "--n", "3",
                                  "--points", "3"]))
         assert [res.exit_code for res in results] == [3, 3, 3]
@@ -214,11 +218,86 @@ class TestCollection:
         counts = []
         for verb in ("verify-g2", "verify-g2", "verify-relation"):
             made, before = len(forks), len(collects)
+            families._points.clear()
             res = _run([verb, "--family", "an", "--n", "3", "--points", "2"])
             assert res.exit_code == 0, res.output
             assert len(forks) - made == 1
             counts.append(len(collects) - before)
         assert counts == [1, 0, 1]
+
+
+class TestSampleMemo:
+    """Each family point is drawn once per process: the workers of a
+    suite send the points they drew back, and the next suite on the
+    same points looks them up."""
+
+    SUITES = (families.relation_family_check, families.g2_vanishing_check,
+              families.o_difference_check)
+
+    @staticmethod
+    def _counted_sampler(monkeypatch, tmp_path, kind):
+        """``kind``'s sampler, counting its calls in every process in a
+        file; returns a function that reads the count."""
+        log = tmp_path / "sampler-calls"
+        log.write_text("")
+        real = FAMILIES[kind].sampler
+
+        def counted(spec, rng, precision):
+            with open(log, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+            return real(spec, rng, precision)
+
+        monkeypatch.setitem(FAMILIES, kind,
+                            dataclasses.replace(FAMILIES[kind], sampler=counted))
+        return lambda: len(log.read_text().splitlines())
+
+    def test_suites_share_points(self, monkeypatch, tmp_path, workers):
+        # relation, G2 and O1 - O2 on two Apq(2,2) points over two
+        # processes: the worker's point comes back, so the sampler runs
+        # twice, not six times, and every report is the one that fresh
+        # draws give
+        spec = families.FamilySpec.ApqOrbifold(2, 2)
+        calls = self._counted_sampler(monkeypatch, tmp_path, "Apq")
+        forks = workers(2)
+        fresh = []
+        for check in self.SUITES:
+            families._points.clear()
+            fresh.append(check(spec, points=2).to_json())
+        assert calls() == 6
+        families._points.clear()
+        shared = [check(spec, points=2).to_json() for check in self.SUITES]
+        assert calls() == 6 + 2
+        assert shared == fresh
+        assert len(forks) == 6
+        assert set(families._points) == {(spec, DEFAULT_SEED + k, DEFAULT_PRECISION)
+                                         for k in range(2)}
+
+    def test_patched_sample_is_not_kept(self, monkeypatch, workers):
+        # a wrapper of families.sample that moves gamma_12, in this
+        # process and in the worker: the suite fails, but only the points
+        # the real sample drew are kept, and a suite on them passes
+        spec = families.FamilySpec.An(3)
+
+        def perturbed(spec, **kwargs):
+            point = sample(spec, **kwargs)
+            gammas = dict(point.gammas)
+            gammas[(1, 2)] = gammas[(1, 2)] + 1
+            return dataclasses.replace(point, gammas=gammas)
+
+        forks = workers(2)
+        monkeypatch.setattr(families, "sample", perturbed)
+        assert families.relation_family_check(spec, points=2).verdict == "fail"
+        assert len(forks) == 1
+        kept = dict(families._points)
+        assert len(kept) == 2
+        assert all(point.kernel is EXACT for point in kept.values())  # one came by pipe
+        monkeypatch.setattr(families, "sample", sample)
+        families._points.clear()
+        for key, point in kept.items():  # each point is in a field of its own
+            assert repr(point.gammas) == repr(sample(*key).gammas)
+        families._points.update(kept)
+        assert families.relation_family_check(spec, points=2).verdict == "pass"
+        assert families._points == kept
 
 
 class TestWorkerLifetime:
