@@ -155,14 +155,6 @@ class Algebra:
     def indices(self):
         return range(1, self.n + 1)
 
-    def max_jet_order(self, e):
-        """Largest jet order appearing in e (0 if none)."""
-        best = 0
-        for g in ex.generators(e):
-            if g.args[0] == GK_JET and g.args[2] > best:
-                best = g.args[2]
-        return best
-
 
 # ---------------------------------------------------------------------------
 # evaluation contexts

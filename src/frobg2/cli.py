@@ -36,13 +36,12 @@ from functools import partial
 
 import click
 
-from .algebra import Algebra
+from .algebra import Algebra, DegenerateSample
 from .correlators import CorrelatorTable
 from .exact import NonConvergenceError
 from .expr import dump as expr_dump
 from .families import (
     FAMILIES,
-    DegenerateSample,
     Unsupported,
     closed_form_o_difference,
     g2_vanishing_check,

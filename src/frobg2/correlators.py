@@ -18,17 +18,25 @@ Builds, for a fixed dimension n:
 * ``h_function(alg, i)`` -- the tau-gradient part of ``g_gradient``,
   which the genus-two correction term also uses;
 * ``edge_weight(j)`` -- 1/(h_j^2 u_{j,x}), the weight a propagator edge
-  contributes after contraction to canonical indices.
+  contributes after contraction to canonical indices;
+* ``leg_sum(genus, t, m)`` -- the vertex function of a dual graph: the
+  genus-0 or genus-1 correlator at the vertex's edge indices t, summed
+  over the indices of its m legs, which act as covariant
+  x-derivatives through the connection terms ``connection(s, k)``.
 
 Entries are memoized by sorted index tuple; the recursion always
 appends the last index of the sorted tuple, which is legitimate because
-the functions are totally symmetric (also covered by tests).
+the functions are totally symmetric (also covered by tests).  Every
+index recursion lives on the table, and every graph contracted on one
+table shares its memos (``graphs.graph_function``).
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra
-from .expr import ZERO, add, const, div, h, jet, mul, neg, pow_, sub, u, gamma
+from .expr import (
+    GK_JET, ZERO, add, const, div, gamma, generators, h, jet, mul, neg, pow_, sub, u,
+)
 
 C_MIN, C_MAX = 3, 6
 D_MAX = 3
@@ -52,9 +60,8 @@ class CorrelatorTable:
         self._d = {}
         self._g_grad = {}
         self._edge = {}
-        # memos of graphs.graph_function: vertex leg sums under
-        # (genus, t, m) and the connection terms A^s_k under (s, k); on
-        # the table, every graph contracted on it shares them
+        # vertex functions under (genus, t, m), and the connection terms
+        # A^s_k under (s, k)
         self.leg_sums = {}
         self.connections = {}
 
@@ -137,21 +144,18 @@ class CorrelatorTable:
         alg = self.alg
         terms = []
         if X is not ZERO:
-            for k in alg.indices():
-                d0 = alg.partial_u(X, k)
-                if d0 is not ZERO:
-                    w = self.u_jet_coeff(k, 0, last)
-                    if w is not ZERO:
-                        terms.append(mul(d0, w))
-            pmax = alg.max_jet_order(X)
-            for p in range(1, pmax + 1):
-                for k in alg.indices():
-                    dp = alg.partial_jet(X, k, p)
-                    if dp is ZERO:
-                        continue
-                    w = self.u_jet_coeff(k, p, last)
-                    if w is not ZERO:
-                        terms.append(mul(dp, w))
+            # U^{k,0}_last = delta_{k,last} u_{last,x}: one u-derivative
+            terms.append(mul(alg.partial_u(X, last), jet(last, 1)))
+            # a jet absent from X contributes nothing; the rest by (order, index)
+            jets = sorted((g.args[2], g.args[1]) for g in generators(X)
+                          if g.args[0] == GK_JET)
+            for p, k in jets:
+                dp = alg.partial_jet(X, k, p)
+                if dp is ZERO:
+                    continue
+                w = self.u_jet_coeff(k, p, last)
+                if w is not ZERO:
+                    terms.append(mul(dp, w))
         for pos in range(len(head)):
             ik = head[pos]
             for s in alg.indices():
@@ -177,6 +181,61 @@ class CorrelatorTable:
         if kind == "C":
             return self._X(tuple(t), None, self._c_base, C_MIN)
         return self._X(tuple(t), None, self._d_base, 1)
+
+    # -- vertex functions --------------------------------------------------------
+
+    def connection(self, s, k):
+        """A^s_k = sum_l Gamma^s_kl u_{l,x}, the connection term that a leg
+        summed over its index applies to the vertex index k."""
+        alg = self.alg
+        return add(*[mul(alg.christoffel(s, k, l), jet(l, 1)) for l in alg.indices()])
+
+    def leg_sum(self, genus, t, m):
+        """The genus-``genus`` vertex function at sorted edge indices t,
+        summed over every ordered index tuple of m legs.
+
+        Since sum_j Gamma^s_kj = 0, summing the correlator recursion over
+        one leg index turns its derivative terms into the total
+        x-derivative and cancels the Christoffel terms between legs.  This
+        leaves
+
+            L(t, m) = d_x L(t, m-1) - sum_pos sum_s A^s_{t[pos]} L(t[pos->s], m-1)
+
+        with A^s_k from :meth:`connection` and L(t, 0) the correlator at t.
+        A tuple shorter than the recursion's base (3 for C, 1 for D) first
+        takes one leg as a plain index sum.  Results are memoized in
+        ``leg_sums`` under (genus, t, m); the n^2 connection terms are
+        built together, in (s, k) order, at the first leg sum that needs
+        one."""
+        sums = self.leg_sums
+        key = (genus, t, m)
+        out = sums.get(key)
+        if out is not None:
+            return out
+        alg = self.alg
+        if m == 0:
+            out = self.correlator_C(t) if genus == 0 else self.correlator_D(t)
+        elif len(t) < (C_MIN if genus == 0 else 1):
+            out = add(*[self.leg_sum(genus, tuple(sorted(t + (l,))), m - 1)
+                        for l in alg.indices()])
+        else:
+            conn = self.connections
+            if not conn:
+                conn.update(((s, k), self.connection(s, k))
+                            for s in alg.indices() for k in alg.indices())
+            terms = [alg.total_x(self.leg_sum(genus, t, m - 1))]
+            for pos, k in enumerate(t):
+                for s in alg.indices():
+                    a = conn[s, k]
+                    if a is ZERO:
+                        continue
+                    moved = tuple(sorted(t[:pos] + (s,) + t[pos + 1:]))
+                    rest = self.leg_sum(genus, moved, m - 1)
+                    if rest is not ZERO:
+                        terms.append(neg(mul(a, rest)))
+            out = add(*terms)
+        sums[key] = out
+        return out
 
     # -- G-function gradient and edge weight --------------------------------------
 

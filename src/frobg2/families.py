@@ -45,11 +45,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional
 
-# MAX_RESAMPLE and DegenerateSample stay importable from here for callers
 from .algebra import (
-    MAX_RESAMPLE,
     Algebra,
-    DegenerateSample,
     EvalContext,
     draw_stream,
     forked_map,

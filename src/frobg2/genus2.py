@@ -473,11 +473,7 @@ def o_difference_closed_form(alg):
 @_kept
 def o_difference_graphs(alg):
     """The contraction O1 - O2."""
-    table = CorrelatorTable(alg)
-    return sub(
-        graph_function(builtin("O1"), table),
-        graph_function(builtin("O2"), table),
-    )
+    return graph_combination(alg, {"O1": 1, "O2": -1})
 
 
 def relation_cross_check(alg):

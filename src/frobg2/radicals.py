@@ -135,6 +135,11 @@ class RadicalElem:
         return all(m == 0 for m in self.coeffs)
 
     def __eq__(self, other):
+        # two fields over the same radicands hold the same numbers; an
+        # element of any other field compares unequal
+        if isinstance(other, RadicalElem) and other.field is not self.field:
+            return (other.field.radicands == self.field.radicands
+                    and other.coeffs == self.coeffs)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -296,7 +296,7 @@ def _digest(data):
 # "verify-decomposition --n 2 --trials 1"
 COLD_STORE = {
     "decomposition_residual-2":
-        "3fc889a31ccc4b2e331fa5bde993457cd0c9a60119b2497df35a086176643b93",
+        "bedf020be79df250438199d8abc33328fb9e383c90b096462b76be6b115f0d35",
     "f2_reference-2": "4042c24131068dd7b859a7c74fa8c371457e68c7ac927e28a82961ed37b75793",
     "g2_function-2": "280c95702dbfd7c5095d31092e981b7a6c064a62db17968aa2599701ca9d92d4",
 }

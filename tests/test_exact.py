@@ -305,6 +305,23 @@ class TestRadicals:
         assert (x - x).is_zero()
         assert x**3 == x * x * x
 
+    def test_equal_across_fields(self):
+        # elements of two fields over the same radicands compare by
+        # coefficients; any other pair is unequal, and == never raises
+        K, L = RadicalField([F(2), F(3)]), RadicalField([F(2), F(3)])
+        x = 1 + K.sqrt_gen(0) + 2 * K.sqrt_gen(1)
+        assert x == 1 + L.sqrt_gen(0) + 2 * L.sqrt_gen(1)
+        assert x != 1 + L.sqrt_gen(0) - 2 * L.sqrt_gen(1)
+        assert hash(x) == hash(1 + L.sqrt_gen(0) + 2 * L.sqrt_gen(1))
+        assert RadicalField([F(2)]).sqrt_gen(0) != RadicalField([F(3)]).sqrt_gen(0)
+        # arithmetic across fields still refuses
+        with pytest.raises(ValueError, match="mixing radical fields"):
+            x + L.sqrt_gen(0)
+        with pytest.raises(ValueError, match="mixing radical fields"):
+            x * L.sqrt_gen(0)
+        with pytest.raises(ValueError, match="mixing radical fields"):
+            x / L.sqrt_gen(0)
+
     def test_gaussian(self):
         K = RadicalField([F(-1)])
         i = K.sqrt_gen(0)

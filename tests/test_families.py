@@ -22,13 +22,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from frobg2 import families, genus2
-from frobg2.algebra import ResampleNeeded
+from frobg2.algebra import MAX_RESAMPLE, DegenerateSample, ResampleNeeded
 from frobg2.cli import main
 from frobg2.exact import NonConvergenceError
 from frobg2.families import (
     FAMILIES,
-    MAX_RESAMPLE,
-    DegenerateSample,
     FamilySpec,
     Unsupported,
     _residual_ok,
@@ -55,6 +53,15 @@ class TestSampling:
         assert a.digest() == b.digest()
         c = sample(spec, seed=6)
         assert c.digest() != a.digest()
+
+    def test_redraw_compares_equal(self):
+        # two draws of one exact point, each in a field of its own
+        spec = FamilySpec.An(3)
+        a = sample(spec, seed=5)
+        families._points.clear()
+        b = sample(spec, seed=5)
+        assert a.hs[0].field is not b.hs[0].field
+        assert (a.us, a.hs, a.gammas) == (b.us, b.hs, b.gammas)
 
     @pytest.mark.parametrize("spec", [FamilySpec.An(4), FamilySpec.Dn(4)])
     def test_h_squares_to_metric(self, spec):

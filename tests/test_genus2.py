@@ -181,7 +181,7 @@ class TestSolve:
 
 
 class TestRelation:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cross_check_zero(self, n):
         alg = Algebra(n)
         expr = relation_cross_check(alg)
@@ -189,6 +189,16 @@ class TestRelation:
         for _ in range(5):
             ctx = random_context(n, rng)
             assert ctx.evaluate(expr) == 0
+
+    def test_cross_check_fails_on_a_moved_weight(self, monkeypatch, warm_store):
+        # the gate can fail: with the weight of Q4 moved from 6 to 7 the
+        # relation is no longer d_x^2 (O1 - O2) at n = 4
+        monkeypatch.setitem(genus2.RELATION_WEIGHTS, "Q4", 7)
+        monkeypatch.setattr(genus2, "_built", {})
+        expr = relation_cross_check(Algebra(4))
+        rng = random.Random(61)
+        for _ in range(3):
+            assert random_context(4, rng).evaluate(expr) != 0
 
     def test_n1_relation_vanishes_identically(self):
         alg = Algebra(1)
@@ -477,7 +487,7 @@ class TestSmallPhaseGate:
     @pytest.mark.parametrize("spec", [
         FamilySpec.An(2), FamilySpec.An(3), FamilySpec.An(4), FamilySpec.Dn(4),
         FamilySpec.TwoDim(Fraction(1, 2)), FamilySpec.TwoDim(Fraction(1, 6)),
-        *_NUMERIC_SMALL_PHASE,
+        *_NUMERIC_SMALL_PHASE, FamilySpec.E6(),
     ], ids=lambda s: s.label)
     def test_vanishes(self, spec):
         for seed in (1, 2):
@@ -500,6 +510,7 @@ class TestSmallPhaseGate:
         row["c"] = str(Fraction(row["c"]) + 1)
         monkeypatch.setattr(genus2, "_F2_DATA", data)
         monkeypatch.setattr(genus2, "_built", {})
-        for spec in (FamilySpec.An(3), *_NUMERIC_SMALL_PHASE):
-            for seed in (1, 2):
-                assert not _small_phase_passes(spec, seed)
+        cases = [(spec, seed) for spec in (FamilySpec.An(3), *_NUMERIC_SMALL_PHASE)
+                 for seed in (1, 2)]
+        for spec, seed in cases + [(FamilySpec.E6(), 1)]:
+            assert not _small_phase_passes(spec, seed), (spec.label, seed)

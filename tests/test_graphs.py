@@ -18,7 +18,7 @@ from math import factorial
 import mpmath
 import pytest
 
-from frobg2 import families, genus2, graphs
+from frobg2 import families, genus2
 from frobg2.algebra import Algebra, random_context
 from frobg2.correlators import CorrelatorTable
 from frobg2.expr import ZERO, add, const, div, gamma, h, mul, pow_, sub
@@ -382,9 +382,9 @@ class TestLegRule:
         # the gate can fail: with the sign of the Christoffel term of the
         # leg rule flipped, the relation and O1 - O2 checks must fail
         want = "pass" if sign > 0 else "fail"
-        connection = graphs._connection
-        monkeypatch.setattr(graphs, "_connection",
-                            lambda alg, s, k: mul(const(sign), connection(alg, s, k)))
+        connection = CorrelatorTable.connection
+        monkeypatch.setattr(CorrelatorTable, "connection",
+                            lambda table, s, k: mul(const(sign), connection(table, s, k)))
         # an empty build cache makes the suites build afresh
         monkeypatch.setattr(genus2, "_built", {})
         for spec in (FamilySpec.An(3), FamilySpec.ApqOrbifold(1, 2)):

@@ -22,7 +22,7 @@ BUILDERS = {
     algebra: ["Algebra._dh_du", "Algebra._dgamma_du", "Algebra.partial_u",
               "Algebra.partial_jet", "Algebra.total_x", "Algebra.christoffel"],
     correlators: ["h_function", "CorrelatorTable"],
-    graphs: ["graph_function", "_leg_sum", "_connection"],
+    graphs: ["graph_function"],
     genus2: ["_DERIVED", "_TableBuilder", "g2_function", "o_difference_closed_form"],
 }
 
