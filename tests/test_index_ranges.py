@@ -21,7 +21,8 @@ from frobg2 import algebra, correlators, genus2, graphs
 BUILDERS = {
     algebra: ["Algebra._dh_du", "Algebra._dgamma_du", "Algebra.partial_u",
               "Algebra.partial_jet", "Algebra.total_x", "Algebra.christoffel"],
-    correlators: ["h_function", "CorrelatorTable"],
+    correlators: ["h_function", "CorrelatorTable", "CorrelatorTable.leg_sum",
+                  "CorrelatorTable.connection"],
     graphs: ["graph_function"],
     genus2: ["_DERIVED", "_TableBuilder", "g2_function", "o_difference_closed_form"],
 }
