@@ -26,7 +26,10 @@ Builds, for a fixed dimension n:
 
 Entries are memoized by sorted index tuple; the recursion always
 appends the last index of the sorted tuple, which is legitimate because
-the functions are totally symmetric (also covered by tests).  Every
+the functions are totally symmetric.  ``tests/test_correlators.py``
+checks that symmetry one step at a time: ``_extend`` from each sorted
+head gives the same function whichever index it appends, which by
+induction over the length is order-independence.  Every
 index recursion lives on the table, and every graph contracted on one
 table shares its memos (``graphs.graph_function``).
 """
@@ -127,19 +130,21 @@ class CorrelatorTable:
     # -- shared recursion -------------------------------------------------------
 
     def _X(self, t, memo, base, base_len):
-        """The correlator of index tuple t, extended one index at a time
-        from ``base`` at length ``base_len``.  With a ``memo`` the tuples
-        are sorted and each is built once; with memo None the recursion
-        runs in the literal order of t and memoizes nothing."""
-        out = None if memo is None else memo.get(t)
-        if out is not None:
-            return out
-        if len(t) == base_len:
-            out = base(t)
-            if memo is not None:
-                memo[t] = out
-            return out
-        head, last = t[:-1], t[-1]
+        """The correlator at sorted index tuple t: ``base`` at length
+        ``base_len``, and one :meth:`_extend` step from its sorted head
+        beyond that.  Each tuple is built once, in ``memo``."""
+        out = memo.get(t)
+        if out is None:
+            if len(t) == base_len:
+                out = base(t)
+            else:
+                out = self._extend(t[:-1], t[-1], memo, base, base_len)
+            memo[t] = out
+        return out
+
+    def _extend(self, head, last, memo, base, base_len):
+        """One recursion step: the correlator at head + (last,) from the
+        correlators of sorted tuples of the length of head."""
         X = self._X(head, memo, base, base_len)
         alg = self.alg
         terms = []
@@ -162,25 +167,12 @@ class CorrelatorTable:
                 gam = alg.christoffel(s, ik, last)
                 if gam is ZERO:
                     continue
-                repl = head[:pos] + (s,) + head[pos + 1:]
-                if memo is not None:
-                    repl = tuple(sorted(repl))
+                repl = tuple(sorted(head[:pos] + (s,) + head[pos + 1:]))
                 Xs = self._X(repl, memo, base, base_len)
                 if Xs is ZERO:
                     continue
                 terms.append(neg(mul(Xs, gam, jet(last, 1))))
-        out = add(*terms)
-        if memo is not None:
-            memo[t] = out
-        return out
-
-    def correlator_ordered(self, t, kind="C"):
-        """Recursion applied in the literal order of t (no sorting, no
-        memo).  Exists so tests can confirm order-independence; the
-        public entries always recurse on sorted tuples."""
-        if kind == "C":
-            return self._X(tuple(t), None, self._c_base, C_MIN)
-        return self._X(tuple(t), None, self._d_base, 1)
+        return add(*terms)
 
     # -- vertex functions --------------------------------------------------------
 

@@ -344,8 +344,9 @@ _CATALOG = {name: DualGraph.make(*raw) for name, raw in {
     "O1": ([0], [(0, 0), (0, 0)], [0]),
     # triple edge, one leg
     "O2": ([0, 0], [(0, 1)] * 3, [1, 0]),
-    # W graphs of the seven-term two-dimensional formula; identified
-    # operationally by coefficient solving on that family
+    # W graphs of the seven-term two-dimensional formula, placeholders:
+    # W1, W2, W3 are the graphs Q14, Q13, Q15, so that formula is
+    # A2_WEIGHTS - Q14/480 + 7 Q13/5760 + 11 Q15/5760
     "W1": ([1], [(0, 0)], [1]),
     "W2": ([0, 1], [(0, 1), (0, 1)], [2, 0]),
     "W3": ([0, 1], [(0, 0), (0, 1)], [1, 1]),

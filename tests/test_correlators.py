@@ -6,17 +6,18 @@ Key oracles:
 * the leg-sum identity, which rewrites the sum of a correlator over its
   last index through the total x-derivative plus Christoffel
   bookkeeping -- an independent consequence of the recursion's origin;
-* order-independence: building an entry by appending indices in a
-  different order gives pointwise-equal expressions.
+* order-independence, one step at a time: extending a sorted head by
+  any one of the tuple's indices gives pointwise-equal expressions.
 """
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from frobg2 import expr as ex
 from frobg2.algebra import Algebra, random_context
-from frobg2.correlators import CorrelatorTable
+from frobg2.correlators import C_MIN, CorrelatorTable
 from frobg2.expr import ZERO, add, const, h, jet, mul, neg, pow_, sub, u
 
 
@@ -76,16 +77,6 @@ class TestC:
         with pytest.raises(ValueError):
             t2.correlator_C((1,) * 7)
 
-    def test_symmetry_under_reordering(self, t2):
-        rng = random.Random(55)
-        tuples = [(1, 1, 2, 2), (2, 1, 2, 1, 1), (1, 2, 2, 1)]
-        for t in tuples:
-            ref = t2.correlator_C(t)
-            alt = t2.correlator_ordered(t, "C")
-            for _ in range(5):
-                ctx = random_context(2, rng)
-                assert ctx.evaluate(ref) == ctx.evaluate(alt)
-
     def test_leg_sum_identity(self, t2):
         # sum_j C_{t,j} = total_x(C_t) - sum_{pos,s} C_{..s..} sum_j Gamma^s_{i_pos j} u_{j,x}
         rng = random.Random(77)
@@ -137,13 +128,30 @@ class TestD:
                 ctx = random_context(2, rng)
                 assert ctx.evaluate(hand) == ctx.evaluate(built)
 
-    def test_symmetry(self, t2):
-        rng = random.Random(63)
-        ref = t2.correlator_D((1, 2))
-        alt = t2.correlator_ordered((2, 1), "D")
-        for _ in range(5):
-            ctx = random_context(2, rng)
-            assert ctx.evaluate(ref) == ctx.evaluate(alt)
+
+class TestStep:
+    @pytest.mark.parametrize("kind,n,lengths", [
+        ("C", 2, (4, 5, 6)), ("C", 3, (4, 5)), ("D", 2, (2, 3)), ("D", 3, (2, 3)),
+    ], ids=["C-n2", "C-n3", "D-n2", "D-n3"])
+    def test_any_last_index(self, kind, n, lengths):
+        # one recursion step from the sorted head t - {a} gives the same
+        # function for every index a of t; by induction over the length,
+        # the correlator does not depend on the order indices are appended
+        table = CorrelatorTable(Algebra(n))
+        if kind == "C":
+            memo, base, base_len = table._c, table._c_base, C_MIN
+        else:
+            memo, base, base_len = table._d, table._d_base, 1
+        rng = random.Random("step|%s|%d" % (kind, n))
+        ctxs = [random_context(n, rng) for _ in range(2)]
+        for m in lengths:
+            for t in combinations_with_replacement(range(1, n + 1), m):
+                values = set()
+                for a in sorted(set(t)):
+                    k = t.index(a)
+                    step = table._extend(t[:k] + t[k + 1:], a, memo, base, base_len)
+                    values.add(tuple(ctx.evaluate(step) for ctx in ctxs))
+                assert len(values) == 1, t
 
 
 class TestGGradient:

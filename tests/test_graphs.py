@@ -1,12 +1,12 @@
 """Dual-graph tests.
 
-The contraction machinery is validated against three independent
-sources of truth: the published closed forms of the boundary entries
-(Q1 as a 6-point sum with two propagators, Q16 as a product of
-genus-one entries), the x-derivative identities that link the P/O
-graphs to the Q family, and the closed form of the O1 - O2 difference,
-which depends on (u, h, gamma) only.  The covariant leg rule of
-``graph_function`` is checked against the plain leg loop it replaced.
+The contraction machinery is validated against the published closed
+forms of the boundary entries (Q1 as a 6-point sum with two
+propagators, Q16 as a product of genus-one entries), against the
+signed sum of ``graph_x_derivative``, and by the jet independence of
+O1 - O2.  The covariant leg rule of ``graph_function`` is checked
+against the plain leg loop it replaced.  The x-derivative identities
+and the O1 - O2 closed form are checked in ``test_acceptance.py``.
 """
 
 import json
@@ -21,7 +21,7 @@ import pytest
 from frobg2 import families, genus2
 from frobg2.algebra import Algebra, random_context
 from frobg2.correlators import CorrelatorTable
-from frobg2.expr import ZERO, add, const, div, gamma, h, mul, pow_, sub
+from frobg2.expr import ZERO, add, const, mul, sub
 from frobg2.families import (
     FamilySpec,
     closed_form_o_difference,
@@ -52,22 +52,7 @@ def admissible():
     return enumerate_admissible()
 
 
-# the x-derivative identities linking the P and O graphs to the Q family
-X_IDENTITIES = {
-    "P1": [(1, "Q1"), (-2, "Q3")],
-    "P2": [(1, "Q3"), (1, "Q5"), (-1, "Q7"), (-2, "Q9")],
-    "P3": [(1, "Q4"), (1, "Q8"), (1, "Q10"), (-2, "Q11"), (-2, "Q12")],
-    "P4": [(1, "Q6"), (1, "Q2"), (-3, "Q10")],
-    "P5": [(2, "Q2"), (-3, "Q4")],
-    "O1": [(1, "P1"), (-2, "P2")],
-    "O2": [(1, "P4"), (1, "P5"), (-3, "P3")],
-}
-
-
 class TestStructure:
-    def test_enumeration_count(self, admissible):
-        assert len(admissible) == 16
-
     def test_enumeration_computed_once(self, admissible):
         assert enumerate_admissible() is admissible
         assert isinstance(admissible, frozenset)
@@ -78,11 +63,6 @@ class TestStructure:
                                    + ["O1", "O2", "W1", "W2", "W3"])
         with pytest.raises(KeyError, match="unknown graph 'Z1'"):
             builtin("Z1")
-
-    def test_catalog_inside_enumeration(self, admissible):
-        classes = {canonicalize(builtin("Q%d" % p)) for p in range(1, 17)}
-        assert len(classes) == 16
-        assert classes == admissible
 
     def test_edge_leg_vertex_count_relation(self, admissible):
         for g in admissible:
@@ -197,61 +177,8 @@ class TestXDerivative:
                 ctx = random_context(2, rng)
                 assert ctx.evaluate(lhs) == ctx.evaluate(rhs)
 
-    @pytest.mark.parametrize("src", sorted(X_IDENTITIES))
-    def test_identities_n2(self, t2, src):
-        rng = random.Random(31)
-        lhs = t2.alg.total_x(graph_function(builtin(src), t2))
-        rhs = add(
-            *[
-                mul(const(c), graph_function(builtin(nm), t2))
-                for c, nm in X_IDENTITIES[src]
-            ]
-        )
-        for _ in range(3):
-            ctx = random_context(2, rng)
-            assert ctx.evaluate(lhs) == ctx.evaluate(rhs)
-
-    def test_identity_p1_n3(self):
-        t3 = CorrelatorTable(Algebra(3))
-        rng = random.Random(37)
-        lhs = t3.alg.total_x(graph_function(builtin("P1"), t3))
-        rhs = add(
-            graph_function(builtin("Q1"), t3),
-            mul(const(-2), graph_function(builtin("Q3"), t3)),
-        )
-        for _ in range(3):
-            ctx = random_context(3, rng)
-            assert ctx.evaluate(lhs) == ctx.evaluate(rhs)
-
 
 class TestODifference:
-    def _closed_form(self, n):
-        terms = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                terms.append(
-                    mul(
-                        gamma(i, j),
-                        pow_(add(pow_(h(i), 2), pow_(h(j), 2)), 2),
-                        pow_(h(i), -3),
-                        pow_(h(j), -3),
-                    )
-                )
-        return add(*terms) if terms else ZERO
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_closed_form(self, n):
-        t = CorrelatorTable(Algebra(n))
-        diff = add(
-            graph_function(builtin("O1"), t),
-            mul(const(-1), graph_function(builtin("O2"), t)),
-        )
-        want = self._closed_form(n)
-        rng = random.Random(41)
-        for _ in range(5):
-            ctx = random_context(n, rng)
-            assert ctx.evaluate(diff) == ctx.evaluate(want)
-
     def test_jet_independent(self):
         # the difference depends on (u, h, gamma) only, so re-randomizing
         # the jets at a fixed base point leaves it unchanged
