@@ -1,4 +1,6 @@
-"""Fixtures every test uses."""
+"""Fixtures every test uses: guards that no child is left and that
+mpmath's global precision is as the test found it, an empty point memo,
+a DAG store of the test's own, and ``python_process``."""
 
 import os
 import subprocess
@@ -21,6 +23,27 @@ def no_child_left():
                 % (pid, status))
 
 
+def _mpmath_prec():
+    """mpmath's global precision, or its default of 53 bits while mpmath
+    is not loaded; read through ``sys.modules``, so nothing is loaded."""
+    mpmath = sys.modules.get("mpmath")
+    return 53 if mpmath is None else mpmath.mp.prec
+
+
+@pytest.fixture(autouse=True)
+def same_mpmath_precision():
+    """Each test leaves mpmath's global precision as it found it: no
+    suite, verb or worker may change the precision a later caller reads.
+    A test that does is failed, and the precision is put back."""
+    before = _mpmath_prec()
+    yield
+    after = _mpmath_prec()
+    if after != before:
+        sys.modules["mpmath"].mp.prec = before
+        pytest.fail("mpmath's global precision was left at %d bits, not %d"
+                    % (after, before))
+
+
 @pytest.fixture(autouse=True)
 def no_kept_points():
     """Each test starts with ``families.sample``'s memo empty, so that no
@@ -39,48 +62,16 @@ def own_cache_home(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
 
-# CLI calls whose DAGs the perturbation gates rebuild: the decomposition
-# at n=2 and the relation and O1 - O2 on An(3) and ApqOrbifold(1, 2)
-_GATE_CALLS = [
-    "verify-decomposition --n 2 --trials 1",
-    "verify-relation --family an --n 3 --points 1",
-    "verify-relation --family apq --p 1 --q 2 --points 1",
-    "compute-odiff --family an --n 3 --points 1",
-]
-
-
-def _run(argv, env=None):
-    """``python argv...`` in a process of its own with this package on
-    its path and ``env`` (this process's environment by default)."""
+@pytest.fixture(scope="session")
+def python_process():
+    """``python_process(argv)`` runs ``python argv...`` in a process of
+    its own, with this package on its path and the test's environment,
+    and returns the CompletedProcess."""
     import frobg2
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(frobg2.__file__)))
-    env = dict(os.environ if env is None else env, PYTHONPATH=src)
-    return subprocess.run([sys.executable] + argv, env=env, capture_output=True)
 
-
-@pytest.fixture(scope="session")
-def python_process():
-    """``python_process(argv)`` runs ``python argv...`` as ``_run`` does,
-    with the test's environment, and returns the CompletedProcess."""
-    return _run
-
-
-@pytest.fixture(scope="session")
-def _gate_store(tmp_path_factory):
-    home = tmp_path_factory.mktemp("warm-cache")
-    env = dict(os.environ, XDG_CACHE_HOME=str(home))
-    for args in _GATE_CALLS:
-        assert _run(["-m", "frobg2.cli"] + args.split(), env).returncode == 0, args
-    return home
-
-
-@pytest.fixture()
-def warm_store(_gate_store, monkeypatch):
-    """A store that holds the as-is DAGs the perturbation gates rebuild.
-    The gates call the library, which never reads the store, so a
-    perturbed build still fails."""
-    stored = {name.split("-")[0] for name in os.listdir(_gate_store / "frobg2")}
-    assert stored == {"decomposition_residual", "f2_reference", "g2_function",
-                      "relation_expression", "o_difference_graphs"}
-    monkeypatch.setenv("XDG_CACHE_HOME", str(_gate_store))
+    def run(argv):
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable] + argv, env=env, capture_output=True)
+    return run

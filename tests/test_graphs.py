@@ -305,7 +305,7 @@ class TestLegRule:
                 assert _headroom(new, point, value) >= _headroom(old, point, value) - 8
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["as-is", "flipped"])
-    def test_connection_sign_gate(self, monkeypatch, warm_store, sign):
+    def test_connection_sign_gate(self, monkeypatch, sign):
         # the gate can fail: with the sign of the Christoffel term of the
         # leg rule flipped, the relation and O1 - O2 checks must fail
         want = "pass" if sign > 0 else "fail"

@@ -5,7 +5,6 @@ import json
 
 from frobg2.report import (
     DEFAULT_PRECISION,
-    Trial,
     VerificationReport,
     point_digest,
     relative_tolerance,
